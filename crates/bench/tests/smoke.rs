@@ -43,6 +43,10 @@ const BINARIES: &[(&str, &str)] = &[
         "fig_pipeline_scaling",
         env!("CARGO_BIN_EXE_fig_pipeline_scaling"),
     ),
+    (
+        "fig_pipeline_univmon",
+        env!("CARGO_BIN_EXE_fig_pipeline_univmon"),
+    ),
     ("fig_live_query", env!("CARGO_BIN_EXE_fig_live_query")),
     ("fig_elastic", env!("CARGO_BIN_EXE_fig_elastic")),
     ("fig_faults", env!("CARGO_BIN_EXE_fig_faults")),

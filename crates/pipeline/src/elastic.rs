@@ -12,9 +12,10 @@
 //!    generations, Section V mergeability), and a fresh worker set with the
 //!    new shard count — and new by-key routing over that count — starts
 //!    from empty sketches as generation `g + 1`.
-//! 2. **Queries.**  A view is always `sealed ⊎ live`: sealed generations
-//!    merged with clones of the live shards via
-//!    [`SnapshotSummary::merge_into_new`].  For sum-merge rows the
+//! 2. **Queries.**  A view is always `sealed ⊎ live`: the live shards'
+//!    copies are assembled into one view, and the sealed union is folded
+//!    into it with [`SnapshotSummary::merge_with_helper`], drawing scratch
+//!    from a reused [`MergeHelper`].  For sum-merge rows the
 //!    counter-wise union over *any* split of the stream equals the
 //!    unsharded sketch, so the merged view is byte-identical to a run that
 //!    never rescaled — no counts are lost or double-counted, regardless of
@@ -716,8 +717,8 @@ impl<S: SnapshotSummary> SnapshotSource<S> for ElasticHandle<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamSummary;
     use salsa_sketches::cms::CountMin;
-    use salsa_sketches::estimator::FrequencyEstimator;
 
     fn stream(n: usize, universe: u64, seed: u64) -> Vec<u64> {
         let mut state = seed;
@@ -736,7 +737,7 @@ mod tests {
     fn unsharded(items: &[u64]) -> CountMin<salsa_core::fixed::FixedRow> {
         let mut sketch = make()(0);
         for chunk in items.chunks(64) {
-            sketch.batch_update(chunk);
+            sketch.ingest(chunk);
         }
         sketch
     }

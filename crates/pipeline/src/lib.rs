@@ -13,7 +13,9 @@
 //!   [`DistinctQueries`], [`UniversalQueries`], [`TrackedQueries`]) that the
 //!   snapshot/handle types expose only when the summary supports them.  So
 //!   the same machinery shards CMS/CUS/CS frequency sketches, UnivMon
-//!   universal statistics, and pure distinct counters.
+//!   universal statistics, and pure distinct counters.  The traits are
+//!   defined next to the sketches, in [`salsa_sketches::summary`], and
+//!   re-exported here.
 //! * [`ShardedPipeline`] partitions an item stream across `N` worker shards
 //!   (each a `std::thread` owning its own summary), feeds each shard in
 //!   configurable batches through [`StreamSummary::ingest`], and on
@@ -120,7 +122,6 @@ pub mod live;
 pub mod policy;
 pub mod sharded;
 pub mod snapshot;
-pub mod summary;
 pub mod supervisor;
 pub mod sync;
 
@@ -130,14 +131,12 @@ pub use error::PipelineError;
 pub use live::{CachePolicy, CachedSnapshots, LiveHandle, SnapshotSource};
 pub use policy::{LoadMonitor, LoadSnapshot, Manual, ScalingPolicy, Threshold};
 pub use salsa_sketches::helper::MergeHelper;
-pub use sharded::{run_sharded, PipelineOutput, ShardLoad, ShardStats, ShardedPipeline};
-pub use snapshot::{CoverageMeta, SnapshotView};
-pub use summary::{
+pub use salsa_sketches::summary::{
     DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary, Tracked, TrackedQueries,
     UniversalQueries,
 };
-#[allow(deprecated)] // re-exported for one release so old imports keep working
-pub use summary::{MergeableSketch, SnapshotableSketch};
+pub use sharded::{run_sharded, PipelineOutput, ShardLoad, ShardStats, ShardedPipeline};
+pub use snapshot::{CoverageMeta, SnapshotView};
 pub use supervisor::{Backoff, Recovery, RetryPolicy, ShardHealth, ShardState, SupervisorConfig};
 
 /// Default seed of the router hash.  It is fixed (and distinct from typical
@@ -252,23 +251,5 @@ impl PipelineConfig {
     pub fn router_seed(mut self, router_seed: u64) -> Self {
         self.router_seed = router_seed;
         self
-    }
-
-    /// Sets the shard count.
-    #[deprecated(note = "renamed to `PipelineConfig::shards`")]
-    pub fn with_shards(self, shards: usize) -> Self {
-        self.shards(shards)
-    }
-
-    /// Sets the batch size.
-    #[deprecated(note = "renamed to `PipelineConfig::batch_size`")]
-    pub fn with_batch_size(self, batch_size: usize) -> Self {
-        self.batch_size(batch_size)
-    }
-
-    /// Sets the partitioning mode.
-    #[deprecated(note = "renamed to `PipelineConfig::partition`")]
-    pub fn with_partition(self, partition: Partition) -> Self {
-        self.partition(partition)
     }
 }

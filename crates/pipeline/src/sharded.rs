@@ -1273,18 +1273,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // pins the one-release compatibility wrappers
-    fn deprecated_with_setters_still_configure() {
-        let config = PipelineConfig::new(1)
-            .with_shards(3)
-            .with_batch_size(0)
-            .with_partition(Partition::RoundRobin);
-        assert_eq!(config.shards, 3);
-        assert_eq!(config.batch_size, 1, "clamping carries over");
-        assert_eq!(config.partition, Partition::RoundRobin);
-    }
-
-    #[test]
     fn shard_loads_track_dispatch_apply_and_busy_time() {
         let items: Vec<u64> = (0..4_096).collect();
         let config = PipelineConfig::new(2)

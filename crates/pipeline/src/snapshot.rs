@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use salsa_sketches::heavy_hitters::TopK;
 
 use crate::sharded::ShardStats;
-use crate::summary::{DistinctQueries, FrequencyQueries, TrackedQueries, UniversalQueries};
+use crate::{DistinctQueries, FrequencyQueries, TrackedQueries, UniversalQueries};
 
 /// How much of the acknowledged stream a [`SnapshotView`] actually covers.
 ///

@@ -24,7 +24,7 @@ fn make_sketch() -> impl Fn(usize) -> CountMin<SimpleSalsaRow> + Copy {
 fn unsharded(items: &[u64]) -> CountMin<SimpleSalsaRow> {
     let mut sketch = make_sketch()(0);
     for chunk in items.chunks(64) {
-        sketch.batch_update(chunk);
+        sketch.ingest(chunk);
     }
     sketch
 }

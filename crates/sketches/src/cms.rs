@@ -19,8 +19,9 @@ use salsa_core::tango::TangoRow;
 use salsa_core::traits::{MergeOp, Row};
 use salsa_hash::RowHashers;
 
+use crate::distinct::distinct_from_rows;
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
+use crate::summary::{DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary};
 
 /// A Count-Min Sketch over an arbitrary row type.
 #[derive(Debug, Clone)]
@@ -136,95 +137,27 @@ impl<R: Row> CountMin<R> {
         self.rows.iter_mut().for_each(Row::reset);
     }
 
-    /// Overwrites this sketch with `src`'s contents **without allocating**:
-    /// the buffer-reusing counterpart of `Clone`, used to refresh a warm
-    /// snapshot buffer in place.  Both sketches must share seed and shape.
-    pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
-        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
-            dst.copy_from(src_row);
-        }
-    }
-}
-
-impl<R: Row + Clone> CountMin<R> {
-    /// Bytes copied when this sketch is cloned for a point-in-time snapshot:
-    /// every row's counter storage + encoding, plus the batch scratch buffer
-    /// (the hashers are a handful of seeds and are ignored).  The live-query
-    /// pipeline uses this to account for per-snapshot copy cost.
-    pub fn clone_cost_bytes(&self) -> usize {
-        self.rows.iter().map(Row::clone_cost_bytes).sum::<usize>()
-            + self.scratch.len() * std::mem::size_of::<usize>()
+    /// Panics unless `other` was built with the same hash functions over
+    /// the same shape — equal seeds, depths and widths, the precondition of
+    /// every counter-wise combination (Section V).
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
+        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        assert_eq!(self.width(), other.width(), "sketch widths must match");
     }
 }
 
 impl<R: Row + RowMerge> CountMin<R> {
-    /// Absorbs another sketch built with the same seed and dimensions,
-    /// producing the sketch of the union stream (`s(A ∪ B) = s(A) + s(B)`).
-    pub fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
-    /// Counter-wise merges `other` into `self` (Section V): afterwards this
-    /// sketch summarizes the union of the two input streams.
-    ///
-    /// Unlike [`CountMin::absorb`], which only checks depths, this enforces
-    /// the full contract the paper's merge results rely on — the operands
-    /// must have been built with the *same hash functions* over the *same
-    /// shape* — by asserting equal seeds, depths and widths.  The sharded
-    /// pipeline uses this to fold per-shard sketches into the global view.
-    ///
-    /// With sum-merge rows the merged sketch's estimates are identical to
-    /// the sketch of the concatenated stream; with max-merge rows they are a
-    /// (never-underestimating) over-approximation.
-    pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched: `merge_into_new(a, b) = s(A ∪ B)`.  Same
-    /// seed/shape contract as [`CountMin::merge_from`].  This is the
-    /// snapshot-assembly primitive of the live-query pipeline, which merges
-    /// per-shard sketch clones without mutating shard state.
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        R: Clone,
-    {
-        // ALLOC-OK: this is the *allocating* entry point, kept as a thin
-        // wrapper around the allocation-free merge for one-shot callers.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing the scratch space of
-    /// `helper` so the merge allocates nothing.  CMS row merges are already
-    /// allocation-free, so the helper is unused here; it exists so every
-    /// sketch exposes the same helper-threaded merge entry point.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
-    }
-
     /// Subtracts another sketch built with the same seed and dimensions.
     ///
     /// Valid in the Strict Turnstile model when the subtracted stream is a
     /// subset of this one (`B ⊆ A`), as discussed in Section V.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands were built with different seeds or shapes.
     pub fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.subtract(b);
         }
@@ -299,12 +232,8 @@ impl<R: Row> FrequencyEstimator for CountMin<R> {
         CountMin::update(self, item, value as u64);
     }
 
-    fn batch_update(&mut self, items: &[u64]) {
-        CountMin::update_batch(self, items);
-    }
-
     fn estimate(&self, item: u64) -> i64 {
-        CountMin::estimate(self, item).min(i64::MAX as u64) as i64
+        FrequencyQueries::estimate(self, item)
     }
 
     fn size_bytes(&self) -> usize {
@@ -313,6 +242,57 @@ impl<R: Row> FrequencyEstimator for CountMin<R> {
 
     fn name(&self) -> String {
         "CountMin".to_string()
+    }
+}
+
+impl<R: Row + RowMerge + Send + 'static> StreamSummary for CountMin<R> {
+    fn ingest(&mut self, items: &[u64]) {
+        self.update_batch(items);
+    }
+
+    /// Counter-wise merges `other` into `self` (Section V): afterwards this
+    /// sketch summarizes the union of the two input streams.  The operands
+    /// must have been built with the *same hash functions* over the *same
+    /// shape* (equal seeds, depths and widths are asserted).
+    ///
+    /// With sum-merge rows the merged sketch's estimates are identical to
+    /// the sketch of the concatenated stream; with max-merge rows they are a
+    /// (never-underestimating) over-approximation.
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_compatible(other);
+        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
+            a.absorb(b);
+        }
+    }
+}
+
+impl<R: Row + RowMerge + Clone + Send + 'static> SnapshotSummary for CountMin<R> {
+    /// Every row's counter storage + encoding, plus the batch scratch buffer
+    /// (the hashers are a handful of seeds and are ignored).
+    fn clone_cost_bytes(&self) -> usize {
+        self.rows.iter().map(Row::clone_cost_bytes).sum::<usize>()
+            + self.scratch.len() * std::mem::size_of::<usize>()
+    }
+
+    /// Refreshes a warm snapshot buffer in place, **without allocating**.
+    fn copy_from(&mut self, src: &Self) {
+        self.assert_compatible(src);
+        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
+            dst.copy_from(src_row);
+        }
+    }
+}
+
+impl<R: Row> FrequencyQueries for CountMin<R> {
+    fn estimate(&self, item: u64) -> i64 {
+        CountMin::estimate(self, item).min(i64::MAX as u64) as i64
+    }
+}
+
+impl<R: Row> DistinctQueries for CountMin<R> {
+    /// Linear Counting averaged over the rows.
+    fn estimate_distinct(&self) -> Option<f64> {
+        distinct_from_rows(&self.rows)
     }
 }
 
@@ -454,7 +434,7 @@ mod tests {
             sb.update(item, 5);
             sab.update(item, 5);
         }
-        sa.absorb(&sb);
+        sa.merge_from(&sb);
         for item in (0u64..500).step_by(7) {
             // The absorbed sketch over-estimates the union stream but is
             // never below the directly-built union sketch's lower bound
@@ -546,6 +526,18 @@ mod tests {
         let mut sa = CountMin::salsa(3, 128, 8, MergeOp::Sum, 1);
         let sb = CountMin::salsa(3, 128, 8, MergeOp::Sum, 2);
         sa.merge_from(&sb);
+    }
+
+    #[test]
+    #[should_panic(expected = "share hash seeds")]
+    fn subtract_rejects_different_seeds() {
+        let mut sa = CountMin::salsa(3, 128, 8, MergeOp::Sum, 1);
+        let mut sb = CountMin::salsa(3, 128, 8, MergeOp::Sum, 2);
+        for item in 0u64..200 {
+            sa.update(item, 3);
+            sb.update(item, 1);
+        }
+        sa.subtract(&sb);
     }
 
     #[test]

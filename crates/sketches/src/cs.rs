@@ -20,7 +20,7 @@ use salsa_core::traits::SignedRow;
 use salsa_hash::{RowHashers, SignHash};
 
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
+use crate::summary::{FrequencyQueries, SnapshotSummary, StreamSummary};
 
 /// Rows up to this depth take the stack-buffer median path in
 /// [`CountSketch::estimate`]; deeper sketches (unheard of in practice — the
@@ -154,88 +154,28 @@ impl<S: SignedRow> CountSketch<S> {
         self.rows.iter_mut().for_each(SignedRow::reset);
     }
 
-    /// Overwrites this sketch with `src`'s contents **without allocating**
-    /// (see [`CountMin::copy_from`]).  Both sketches must share seed and
-    /// shape.
-    ///
-    /// [`CountMin::copy_from`]: crate::cms::CountMin::copy_from
-    pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
-        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
-            dst.copy_from(src_row);
-        }
-    }
-}
-
-impl<S: SignedRow + Clone> CountSketch<S> {
-    /// Bytes copied when this sketch is cloned for a point-in-time snapshot:
-    /// the rows' signed counter storage + encoding (the hash state is a
-    /// handful of seeds and is ignored).
-    pub fn clone_cost_bytes(&self) -> usize {
-        self.rows.iter().map(SignedRow::clone_cost_bytes).sum()
+    /// Panics unless `other` was built with the same seed and shape (see
+    /// `CountMin`'s counterpart).
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
+        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        assert_eq!(self.width(), other.width(), "sketch widths must match");
     }
 }
 
 impl<S: SignedRow + RowMerge> CountSketch<S> {
-    /// Absorbs another sketch built with the same seed and dimensions:
-    /// `s(A ∪ B) = s(A) + s(B)`.
-    pub fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
     /// Subtracts another sketch built with the same seed and dimensions:
     /// `s(A \ B) = s(A) − s(B)` (general Turnstile difference, used by
     /// change detection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands were built with different seeds or shapes.
     pub fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.subtract(b);
         }
-    }
-
-    /// Counter-wise merges `other` into `self` (same seeds and shape
-    /// enforced): afterwards this sketch summarizes the union of the two
-    /// input streams.
-    ///
-    /// Count Sketch counters are plain signed sums, so the merged sketch's
-    /// per-row values equal those of a sketch fed both streams; the SALSA
-    /// variant keeps the estimate unbiased across the merge (Lemma V.4).
-    pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract as [`CountSketch::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        S: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the allocation-free merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch.
-    /// CS row merges are already allocation-free, so the helper is unused;
-    /// the method exists for API uniformity across sketches.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
     }
 }
 
@@ -284,10 +224,6 @@ impl<S: SignedRow> FrequencyEstimator for CountSketch<S> {
         CountSketch::update(self, item, value);
     }
 
-    fn batch_update(&mut self, items: &[u64]) {
-        CountSketch::update_batch(self, items);
-    }
-
     fn estimate(&self, item: u64) -> i64 {
         CountSketch::estimate(self, item)
     }
@@ -298,6 +234,48 @@ impl<S: SignedRow> FrequencyEstimator for CountSketch<S> {
 
     fn name(&self) -> String {
         "CountSketch".to_string()
+    }
+}
+
+impl<S: SignedRow + RowMerge + Send + 'static> StreamSummary for CountSketch<S> {
+    fn ingest(&mut self, items: &[u64]) {
+        self.update_batch(items);
+    }
+
+    /// Counter-wise merges `other` into `self` (same seeds and shape
+    /// enforced): afterwards this sketch summarizes the union of the two
+    /// input streams.
+    ///
+    /// Count Sketch counters are plain signed sums, so the merged sketch's
+    /// per-row values equal those of a sketch fed both streams; the SALSA
+    /// variant keeps the estimate unbiased across the merge (Lemma V.4).
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_compatible(other);
+        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
+            a.absorb(b);
+        }
+    }
+}
+
+impl<S: SignedRow + RowMerge + Clone + Send + 'static> SnapshotSummary for CountSketch<S> {
+    /// The rows' signed counter storage + encoding (the hash state is a
+    /// handful of seeds and is ignored).
+    fn clone_cost_bytes(&self) -> usize {
+        self.rows.iter().map(SignedRow::clone_cost_bytes).sum()
+    }
+
+    /// Refreshes a warm snapshot buffer in place, **without allocating**.
+    fn copy_from(&mut self, src: &Self) {
+        self.assert_compatible(src);
+        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
+            dst.copy_from(src_row);
+        }
+    }
+}
+
+impl<S: SignedRow> FrequencyQueries for CountSketch<S> {
+    fn estimate(&self, item: u64) -> i64 {
+        CountSketch::estimate(self, item)
     }
 }
 
@@ -438,7 +416,7 @@ mod tests {
             sa.update(5, 1);
             sb.update(5, 2);
         }
-        sa.absorb(&sb);
+        sa.merge_from(&sb);
         assert_eq!(sa.estimate(5), 90);
     }
 
@@ -507,6 +485,18 @@ mod tests {
         let mut sa = CountSketch::salsa(3, 128, 8, 1);
         let sb = CountSketch::salsa(3, 128, 8, 2);
         sa.merge_from(&sb);
+    }
+
+    #[test]
+    #[should_panic(expected = "share hash seeds")]
+    fn subtract_rejects_different_seeds() {
+        let mut sa = CountSketch::salsa(3, 128, 8, 1);
+        let mut sb = CountSketch::salsa(3, 128, 8, 2);
+        for item in 0u64..200 {
+            sa.update(item, 3);
+            sb.update(item, 1);
+        }
+        sa.subtract(&sb);
     }
 
     #[test]

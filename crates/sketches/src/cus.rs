@@ -14,8 +14,9 @@ use salsa_core::tango::TangoRow;
 use salsa_core::traits::{MergeOp, Row};
 use salsa_hash::RowHashers;
 
+use crate::distinct::distinct_from_rows;
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
+use crate::summary::{DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary};
 
 /// A Conservative Update Sketch over an arbitrary row type.
 #[derive(Debug, Clone)]
@@ -116,78 +117,12 @@ impl<R: Row> ConservativeUpdate<R> {
         self.rows.iter_mut().for_each(Row::reset);
     }
 
-    /// Overwrites this sketch with `src`'s contents **without allocating**
-    /// (see [`CountMin::copy_from`]).  Both sketches must share seed and
-    /// shape.
-    ///
-    /// [`CountMin::copy_from`]: crate::cms::CountMin::copy_from
-    pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
-        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
-            dst.copy_from(src_row);
-        }
-    }
-}
-
-impl<R: Row + Clone> ConservativeUpdate<R> {
-    /// Bytes copied when this sketch is cloned for a point-in-time snapshot:
-    /// the rows' counter storage + encoding plus the per-update bucket
-    /// scratch (see [`CountMin::clone_cost_bytes`]).
-    ///
-    /// [`CountMin::clone_cost_bytes`]: crate::cms::CountMin::clone_cost_bytes
-    pub fn clone_cost_bytes(&self) -> usize {
-        self.rows.iter().map(Row::clone_cost_bytes).sum::<usize>()
-            + self.buckets.len() * std::mem::size_of::<usize>()
-    }
-}
-
-impl<R: Row + RowMerge> ConservativeUpdate<R> {
-    /// Counter-wise merges `other` into `self` (same seeds and shape
-    /// enforced): every counter becomes the sum of the two operands'
-    /// counters.
-    ///
-    /// The result never under-estimates the union stream (each operand
-    /// counter upper-bounds its shard's frequencies, so their sum
-    /// upper-bounds the total), but it is *not* the sketch a single CUS
-    /// would have built from the concatenated stream — conservative updates
-    /// are order-dependent and use cross-row information that counter-wise
-    /// merging cannot reconstruct.  Merged estimates are therefore looser
-    /// than single-sketch CUS estimates, while staying upper-bounded by the
-    /// merged CMS with the same configuration.
-    pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
+    /// Panics unless `other` was built with the same seed and shape (see
+    /// `CountMin`'s counterpart).
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
         assert_eq!(self.depth(), other.depth(), "sketch depths must match");
         assert_eq!(self.width(), other.width(), "sketch widths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract and caveats as
-    /// [`ConservativeUpdate::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        R: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the allocation-free merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch.
-    /// CUS row merges are already allocation-free, so the helper is unused;
-    /// the method exists for API uniformity across sketches.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
     }
 }
 
@@ -246,12 +181,8 @@ impl<R: Row> FrequencyEstimator for ConservativeUpdate<R> {
         ConservativeUpdate::update(self, item, value as u64);
     }
 
-    fn batch_update(&mut self, items: &[u64]) {
-        ConservativeUpdate::update_batch(self, items);
-    }
-
     fn estimate(&self, item: u64) -> i64 {
-        ConservativeUpdate::estimate(self, item).min(i64::MAX as u64) as i64
+        FrequencyQueries::estimate(self, item)
     }
 
     fn size_bytes(&self) -> usize {
@@ -260,6 +191,61 @@ impl<R: Row> FrequencyEstimator for ConservativeUpdate<R> {
 
     fn name(&self) -> String {
         "ConservativeUpdate".to_string()
+    }
+}
+
+impl<R: Row + RowMerge + Send + 'static> StreamSummary for ConservativeUpdate<R> {
+    fn ingest(&mut self, items: &[u64]) {
+        self.update_batch(items);
+    }
+
+    /// Counter-wise merges `other` into `self` (same seeds and shape
+    /// enforced): every counter becomes the sum of the two operands'
+    /// counters.
+    ///
+    /// The result never under-estimates the union stream (each operand
+    /// counter upper-bounds its shard's frequencies, so their sum
+    /// upper-bounds the total), but it is *not* the sketch a single CUS
+    /// would have built from the concatenated stream — conservative updates
+    /// are order-dependent and use cross-row information that counter-wise
+    /// merging cannot reconstruct.  Merged estimates are therefore looser
+    /// than single-sketch CUS estimates, while staying upper-bounded by the
+    /// merged CMS with the same configuration.
+    fn merge_from(&mut self, other: &Self) {
+        self.assert_compatible(other);
+        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
+            a.absorb(b);
+        }
+    }
+}
+
+impl<R: Row + RowMerge + Clone + Send + 'static> SnapshotSummary for ConservativeUpdate<R> {
+    /// The rows' counter storage + encoding plus the per-update bucket
+    /// scratch.
+    fn clone_cost_bytes(&self) -> usize {
+        self.rows.iter().map(Row::clone_cost_bytes).sum::<usize>()
+            + self.buckets.len() * std::mem::size_of::<usize>()
+    }
+
+    /// Refreshes a warm snapshot buffer in place, **without allocating**.
+    fn copy_from(&mut self, src: &Self) {
+        self.assert_compatible(src);
+        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
+            dst.copy_from(src_row);
+        }
+    }
+}
+
+impl<R: Row> FrequencyQueries for ConservativeUpdate<R> {
+    fn estimate(&self, item: u64) -> i64 {
+        ConservativeUpdate::estimate(self, item).min(i64::MAX as u64) as i64
+    }
+}
+
+impl<R: Row> DistinctQueries for ConservativeUpdate<R> {
+    /// Linear Counting averaged over the rows.
+    fn estimate_distinct(&self) -> Option<f64> {
+        distinct_from_rows(&self.rows)
     }
 }
 

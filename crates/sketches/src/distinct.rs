@@ -12,7 +12,7 @@ use salsa_core::merge::RowMerge;
 use salsa_core::traits::Row;
 
 use crate::cms::CountMin;
-use crate::cus::ConservativeUpdate;
+use crate::summary::{DistinctQueries, SnapshotSummary, StreamSummary};
 
 /// The Linear Counting estimate for a row with `width` slots of which
 /// `zero_slots` are (estimated to be) zero.
@@ -50,22 +50,6 @@ pub fn distinct_from_rows<'a, R: Row + 'a>(rows: impl IntoIterator<Item = &'a R>
     }
 }
 
-impl<R: Row> CountMin<R> {
-    /// Estimates the number of distinct items seen so far (Linear Counting
-    /// averaged over the rows).
-    pub fn estimate_distinct(&self) -> Option<f64> {
-        distinct_from_rows(self.rows())
-    }
-}
-
-impl<R: Row> ConservativeUpdate<R> {
-    /// Estimates the number of distinct items seen so far (Linear Counting
-    /// averaged over the rows).
-    pub fn estimate_distinct(&self) -> Option<f64> {
-        distinct_from_rows(self.rows())
-    }
-}
-
 /// A stream summary that *only* counts distinct items.
 ///
 /// Wraps a [`CountMin`] whose counters serve purely as the Linear Counting
@@ -92,17 +76,6 @@ impl<R: Row> DistinctCounter<R> {
         self.cms.update(item, 1);
     }
 
-    /// Records a batch of occurrences.
-    pub fn batch_update(&mut self, items: &[u64]) {
-        self.cms.update_batch(items);
-    }
-
-    /// Estimates the number of distinct items seen so far (Linear Counting
-    /// averaged over the rows); `None` once every counter is occupied.
-    pub fn estimate_distinct(&self) -> Option<f64> {
-        self.cms.estimate_distinct()
-    }
-
     /// Total memory used, in bytes.
     pub fn size_bytes(&self) -> usize {
         self.cms.size_bytes()
@@ -112,34 +85,35 @@ impl<R: Row> DistinctCounter<R> {
     pub fn inner(&self) -> &CountMin<R> {
         &self.cms
     }
+}
 
-    /// Overwrites this counter with `src`'s contents **without allocating**
-    /// (see [`CountMin::copy_from`]).
-    pub fn copy_from(&mut self, src: &Self) {
+impl<R: Row + RowMerge + Send + 'static> StreamSummary for DistinctCounter<R> {
+    fn ingest(&mut self, items: &[u64]) {
+        self.cms.update_batch(items);
+    }
+
+    /// Counter-wise merges `other` into `self` (same seed/shape enforced);
+    /// afterwards the estimate covers the union of both input streams.
+    fn merge_from(&mut self, other: &Self) {
+        self.cms.merge_from(&other.cms);
+    }
+}
+
+impl<R: Row + RowMerge + Clone + Send + 'static> SnapshotSummary for DistinctCounter<R> {
+    fn clone_cost_bytes(&self) -> usize {
+        self.cms.clone_cost_bytes()
+    }
+
+    fn copy_from(&mut self, src: &Self) {
         self.cms.copy_from(&src.cms);
     }
 }
 
-impl<R: Row + Clone> DistinctCounter<R> {
-    /// Bytes copied when the counter is cloned for a snapshot.
-    pub fn clone_cost_bytes(&self) -> usize {
-        self.cms.clone_cost_bytes()
-    }
-}
-
-impl<R: Row + RowMerge> DistinctCounter<R> {
-    /// Counter-wise merges `other` into `self` (same seed/shape enforced);
-    /// afterwards the estimate covers the union of both input streams.
-    pub fn merge_from(&mut self, other: &Self) {
-        self.cms.merge_from(&other.cms);
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch
-    /// (already allocation-free for row merges; see
-    /// [`CountMin::merge_with_helper`]).
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, helper: &mut crate::helper::MergeHelper) {
-        self.cms.merge_with_helper(&other.cms, helper);
+impl<R: Row> DistinctQueries for DistinctCounter<R> {
+    /// Linear Counting averaged over the rows; `None` once every counter is
+    /// occupied.
+    fn estimate_distinct(&self) -> Option<f64> {
+        self.cms.estimate_distinct()
     }
 }
 
@@ -237,7 +211,7 @@ mod tests {
     fn distinct_counter_batch_matches_loop() {
         let items: Vec<u64> = (0..3_000u64).map(|i| i % 500).collect();
         let mut batched = DistinctCounter::new(CountMin::baseline(4, 1 << 12, 32, 3));
-        batched.batch_update(&items);
+        batched.ingest(&items);
         let mut looped = DistinctCounter::new(CountMin::baseline(4, 1 << 12, 32, 3));
         for &item in &items {
             looped.update(item);

@@ -12,20 +12,6 @@ pub trait FrequencyEstimator {
     /// Processes the update `⟨item, value⟩`.
     fn update(&mut self, item: u64, value: i64);
 
-    /// Processes a batch of unit-weight updates (`⟨item, 1⟩` per item).
-    ///
-    /// Semantically identical to calling [`FrequencyEstimator::update`] once
-    /// per item.  The provided implementation does exactly that; the
-    /// CMS/CUS/CS sketches override it with monomorphized loops (row-major
-    /// where the sketch's update order allows it) so a worker shard pays the
-    /// virtual dispatch once per batch instead of once per item.  This is the
-    /// hot path of the sharded pipeline in `salsa-pipeline`.
-    fn batch_update(&mut self, items: &[u64]) {
-        for &item in items {
-            self.update(item, 1);
-        }
-    }
-
     /// Estimates the current frequency of `item`.
     fn estimate(&self, item: u64) -> i64;
 

@@ -122,15 +122,6 @@ impl TopK {
         out.extend(self.ordered.iter().rev().map(|&(est, item)| (item, est)));
     }
 
-    /// Rebuilds the tracker from `(item, estimate)` pairs, equivalent to
-    /// clearing it and offering every pair in order.
-    pub fn rebuild_from(&mut self, pairs: &[(u64, u64)]) {
-        self.clear();
-        for &(item, est) in pairs {
-            self.offer(item, est);
-        }
-    }
-
     /// Overwrites this tracker with `src`'s contents, reusing the backing
     /// containers' nodes where the standard library allows (`clone_from` on
     /// the map and set).

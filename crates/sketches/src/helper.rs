@@ -8,6 +8,8 @@
 //! it once per handle, thread it through `merge_with_helper`, and steady-state
 //! merges reuse the same buffers instead of allocating per merge.
 
+use crate::heavy_hitters::TopK;
+
 /// Scratch buffers reused across `merge_with_helper` calls.
 ///
 /// The buffers grow to a high-water mark on the first few merges and are
@@ -38,6 +40,30 @@ impl MergeHelper {
     /// Current capacity of the pair buffer (diagnostics / tests).
     pub fn pair_capacity(&self) -> usize {
         self.pairs.capacity()
+    }
+
+    /// Rebuilds the heavy-hitter tracker `mine` after its summary absorbed
+    /// the summary `theirs` tracked: the union of both trackers' items
+    /// (largest first) is re-estimated against the merged summary through
+    /// `estimate`, and every non-zero estimate is re-offered.  This restores
+    /// the invariant that each tracked estimate reflects the full merged
+    /// stream; the candidates live in the reusable pair buffer.
+    pub(crate) fn rebuild_tracker(
+        &mut self,
+        mine: &mut TopK,
+        theirs: &TopK,
+        estimate: impl Fn(u64) -> i64,
+    ) {
+        self.pairs.clear();
+        mine.copy_items_into(&mut self.pairs);
+        theirs.copy_items_into(&mut self.pairs);
+        mine.clear();
+        for &(item, _) in &self.pairs {
+            let est = estimate(item).max(0) as u64;
+            if est > 0 {
+                mine.offer(item, est);
+            }
+        }
     }
 }
 

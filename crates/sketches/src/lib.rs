@@ -16,6 +16,12 @@
 //! largest estimates), [`distinct`] (Linear Counting from a sketch's zero
 //! counters), and sketch union / difference for change detection.
 //!
+//! CMS, CUS, CS, UnivMon and [`DistinctCounter`] implement the [`summary`]
+//! traits — [`StreamSummary`] (batched ingest, counter-wise merge),
+//! [`SnapshotSummary`] (cheap copies and helper-threaded merges) and the
+//! query capabilities — once, in their own modules; `salsa-pipeline`
+//! shards any type that implements them.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -42,6 +48,7 @@ pub mod estimator;
 pub mod heavy_hitters;
 pub mod helper;
 pub mod memory;
+pub mod summary;
 pub mod univmon;
 
 /// Convenient re-exports of the most commonly used types.
@@ -56,6 +63,10 @@ pub mod prelude {
     pub use crate::heavy_hitters::TopK;
     pub use crate::helper::MergeHelper;
     pub use crate::memory::{width_for_budget, width_for_budget_bits};
+    pub use crate::summary::{
+        DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary, Tracked, TrackedQueries,
+        UniversalQueries,
+    };
     pub use crate::univmon::UnivMon;
     pub use salsa_core::prelude::*;
     pub use salsa_hash::{RowHashers, SignHash};

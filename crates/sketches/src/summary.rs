@@ -1,33 +1,24 @@
-//! The pipeline's summary contract and its capability traits.
+//! The summary contract and its capability traits.
 //!
 //! SALSA's counter-wise mergeability (Section V) is not specific to
-//! frequency estimation, so the transport layer — sharded workers, live
-//! snapshots, elastic resharding — is bound only to the minimal
-//! [`StreamSummary`] contract: *ingest a batch, merge counter-wise*.
-//! Everything a summary can be **asked** lives in small capability traits
-//! ([`FrequencyQueries`], [`DistinctQueries`], [`UniversalQueries`],
-//! [`TrackedQueries`]) that [`SnapshotView`](crate::SnapshotView) and the
-//! live/elastic handles surface only when the summary implements them.
-//! This is the split between sketch *logic* and worker/snapshot *transport*
-//! that lets UnivMon, distinct counting and heavy-hitter tracking ride the
-//! same machinery as the frequency sketches.
+//! frequency estimation, so the transport layer of `salsa-pipeline` —
+//! sharded workers, live snapshots, elastic resharding — is bound only to
+//! the minimal [`StreamSummary`] contract: *ingest a batch, merge
+//! counter-wise*.  Everything a summary can be **asked** lives in small
+//! capability traits ([`FrequencyQueries`], [`DistinctQueries`],
+//! [`UniversalQueries`], [`TrackedQueries`]) that the pipeline's
+//! `SnapshotView` and live/elastic handles surface only when the summary
+//! implements them.
 //!
-//! | Pre-0.7 bound | Replacement |
-//! |---------------|-------------|
-//! | `MergeableSketch` | [`StreamSummary`] (+ [`FrequencyQueries`] if you query) |
-//! | `SnapshotableSketch` | [`SnapshotSummary`] (+ capability traits as needed) |
-//! | `FrequencyEstimator::batch_update` (worker hot path) | [`StreamSummary::ingest`] |
+//! Every sketch implements these traits once, in its own module, and the
+//! trait method *is* the operation: there is no inherent twin behind it.
+//! A merge that needs scratch space ([`UnivMon`](crate::univmon::UnivMon),
+//! [`Tracked`]) holds its only algorithm in
+//! [`SnapshotSummary::merge_with_helper`]; its [`StreamSummary::merge_from`]
+//! runs that algorithm with a fresh [`MergeHelper`].
 
-use salsa_core::merge::RowMerge;
-use salsa_core::traits::{Row, SignedRow};
-use salsa_sketches::cms::CountMin;
-use salsa_sketches::cs::CountSketch;
-use salsa_sketches::cus::ConservativeUpdate;
-use salsa_sketches::distinct::DistinctCounter;
-use salsa_sketches::estimator::FrequencyEstimator;
-use salsa_sketches::heavy_hitters::TopK;
-use salsa_sketches::helper::MergeHelper;
-use salsa_sketches::univmon::UnivMon;
+use crate::heavy_hitters::TopK;
+use crate::helper::MergeHelper;
 
 /// A summary whose same-seed, same-shape instances can ingest item batches
 /// and be combined counter-wise into a summary of the union stream.
@@ -60,13 +51,9 @@ pub trait StreamSummary: Send + 'static {
 /// worker can produce a point-in-time copy on demand without stalling
 /// ingestion for longer than one memcpy.
 ///
-/// This is the contract behind [`ShardedPipeline::snapshot`] and
-/// [`LiveHandle`]: snapshots are assembled by cloning each shard's summary
-/// and folding the clones counter-wise, leaving the live summaries
-/// untouched.
-///
-/// [`ShardedPipeline::snapshot`]: crate::ShardedPipeline::snapshot
-/// [`LiveHandle`]: crate::LiveHandle
+/// This is the contract behind the pipeline's snapshots and live handles:
+/// a snapshot is assembled by copying each shard's summary and folding the
+/// copies counter-wise, leaving the live summaries untouched.
 pub trait SnapshotSummary: StreamSummary + Clone {
     /// Bytes copied per clone — the cost one snapshot imposes on each
     /// shard.  Implementations report their counter storage plus encoding
@@ -99,7 +86,8 @@ pub trait SnapshotSummary: StreamSummary + Clone {
     /// Counter-wise merges `other` into `self`, drawing any scratch space
     /// from `helper` instead of allocating.  Semantically identical to
     /// [`StreamSummary::merge_from`] (same seed/shape contract); the default
-    /// simply delegates to it.
+    /// simply delegates to it, which is allocation-free for summaries made
+    /// of counter rows alone.
     fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
         let _ = helper;
         self.merge_from(other);
@@ -109,9 +97,8 @@ pub trait SnapshotSummary: StreamSummary + Clone {
 /// Capability: per-item frequency queries.
 ///
 /// Implemented by the frequency sketches (CMS/CUS/CS and wrappers around
-/// them); [`SnapshotView`](crate::SnapshotView)'s `estimate`/`top_k` and the
-/// point-query fast paths on [`LiveHandle`](crate::LiveHandle) /
-/// [`ElasticHandle`](crate::ElasticHandle) are gated on it.
+/// them); the pipeline's `estimate`/`top_k` views and its point-query fast
+/// paths are gated on it.
 pub trait FrequencyQueries {
     /// Estimates the current frequency of `item` (signed, so Turnstile
     /// summaries fit the same surface).
@@ -120,7 +107,7 @@ pub trait FrequencyQueries {
 
 /// Capability: distinct-count (F0) estimation.
 ///
-/// Gates [`SnapshotView::estimate_distinct`](crate::SnapshotView::estimate_distinct).
+/// Gates the pipeline's `SnapshotView::estimate_distinct`.
 pub trait DistinctQueries {
     /// Estimates the number of distinct items summarized so far; `None`
     /// when the underlying estimator has saturated.
@@ -130,8 +117,7 @@ pub trait DistinctQueries {
 /// Capability: UnivMon-style universal statistics (any G-sum in
 /// Stream-PolyLog).
 ///
-/// Gates the `entropy`/`fp_moment`/`distinct` queries on
-/// [`SnapshotView`](crate::SnapshotView).
+/// Gates the pipeline's `entropy`/`fp_moment`/`distinct` views.
 pub trait UniversalQueries {
     /// Estimates the empirical entropy of the frequency distribution.
     fn entropy(&self) -> f64;
@@ -146,227 +132,11 @@ pub trait UniversalQueries {
 /// Capability: an on-arrival heavy-hitter tracker rides along with the
 /// summary (see [`Tracked`]).
 ///
-/// Gates [`SnapshotView::top_k_tracked`](crate::SnapshotView::top_k_tracked).
+/// Gates the pipeline's `SnapshotView::top_k_tracked`.
 pub trait TrackedQueries {
     /// The tracked heavy hitters of this summary.
     fn tracked(&self) -> &TopK;
 }
-
-// ---------------------------------------------------------------------------
-// Frequency sketches: StreamSummary = batched updates + sketch-level merge.
-// (No blanket impl over `FrequencyEstimator` — coherence would forbid the
-// non-estimator impls below, and the explicit list keeps `ingest` on each
-// sketch's monomorphized batch loop.)
-// ---------------------------------------------------------------------------
-
-impl<R> StreamSummary for CountMin<R>
-where
-    R: Row + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        CountMin::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        CountMin::merge_from(self, other);
-    }
-}
-
-impl<R> StreamSummary for ConservativeUpdate<R>
-where
-    R: Row + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        ConservativeUpdate::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        ConservativeUpdate::merge_from(self, other);
-    }
-}
-
-impl<S> StreamSummary for CountSketch<S>
-where
-    S: SignedRow + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        CountSketch::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        CountSketch::merge_from(self, other);
-    }
-}
-
-impl<R> SnapshotSummary for CountMin<R>
-where
-    R: Row + RowMerge + Clone + Send + 'static,
-{
-    fn clone_cost_bytes(&self) -> usize {
-        CountMin::clone_cost_bytes(self)
-    }
-
-    fn copy_from(&mut self, src: &Self) {
-        CountMin::copy_from(self, src);
-    }
-
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        CountMin::merge_with_helper(self, other, helper);
-    }
-}
-
-impl<R> SnapshotSummary for ConservativeUpdate<R>
-where
-    R: Row + RowMerge + Clone + Send + 'static,
-{
-    fn clone_cost_bytes(&self) -> usize {
-        ConservativeUpdate::clone_cost_bytes(self)
-    }
-
-    fn copy_from(&mut self, src: &Self) {
-        ConservativeUpdate::copy_from(self, src);
-    }
-
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        ConservativeUpdate::merge_with_helper(self, other, helper);
-    }
-}
-
-impl<S> SnapshotSummary for CountSketch<S>
-where
-    S: SignedRow + RowMerge + Clone + Send + 'static,
-{
-    fn clone_cost_bytes(&self) -> usize {
-        CountSketch::clone_cost_bytes(self)
-    }
-
-    fn copy_from(&mut self, src: &Self) {
-        CountSketch::copy_from(self, src);
-    }
-
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        CountSketch::merge_with_helper(self, other, helper);
-    }
-}
-
-impl<R: Row> FrequencyQueries for CountMin<R> {
-    fn estimate(&self, item: u64) -> i64 {
-        FrequencyEstimator::estimate(self, item)
-    }
-}
-
-impl<R: Row> FrequencyQueries for ConservativeUpdate<R> {
-    fn estimate(&self, item: u64) -> i64 {
-        FrequencyEstimator::estimate(self, item)
-    }
-}
-
-impl<S: SignedRow> FrequencyQueries for CountSketch<S> {
-    fn estimate(&self, item: u64) -> i64 {
-        CountSketch::estimate(self, item)
-    }
-}
-
-impl<R: Row> DistinctQueries for CountMin<R> {
-    fn estimate_distinct(&self) -> Option<f64> {
-        CountMin::estimate_distinct(self)
-    }
-}
-
-impl<R: Row> DistinctQueries for ConservativeUpdate<R> {
-    fn estimate_distinct(&self) -> Option<f64> {
-        ConservativeUpdate::estimate_distinct(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Non-frequency summaries: the point of the redesign.
-// ---------------------------------------------------------------------------
-
-impl<S> StreamSummary for UnivMon<S>
-where
-    S: SignedRow + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        UnivMon::batch_update(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        UnivMon::merge_from(self, other);
-    }
-}
-
-impl<S> SnapshotSummary for UnivMon<S>
-where
-    S: SignedRow + RowMerge + Clone + Send + 'static,
-{
-    fn clone_cost_bytes(&self) -> usize {
-        UnivMon::clone_cost_bytes(self)
-    }
-
-    fn copy_from(&mut self, src: &Self) {
-        UnivMon::copy_from(self, src);
-    }
-
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        UnivMon::merge_with_helper(self, other, helper);
-    }
-}
-
-impl<S: SignedRow> UniversalQueries for UnivMon<S> {
-    fn entropy(&self) -> f64 {
-        UnivMon::entropy(self)
-    }
-
-    fn fp_moment(&self, p: f64) -> f64 {
-        UnivMon::fp_moment(self, p)
-    }
-
-    fn distinct(&self) -> f64 {
-        UnivMon::distinct(self)
-    }
-}
-
-impl<R> StreamSummary for DistinctCounter<R>
-where
-    R: Row + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        DistinctCounter::batch_update(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        DistinctCounter::merge_from(self, other);
-    }
-}
-
-impl<R> SnapshotSummary for DistinctCounter<R>
-where
-    R: Row + RowMerge + Clone + Send + 'static,
-{
-    fn clone_cost_bytes(&self) -> usize {
-        DistinctCounter::clone_cost_bytes(self)
-    }
-
-    fn copy_from(&mut self, src: &Self) {
-        DistinctCounter::copy_from(self, src);
-    }
-
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        DistinctCounter::merge_with_helper(self, other, helper);
-    }
-}
-
-impl<R: Row> DistinctQueries for DistinctCounter<R> {
-    fn estimate_distinct(&self) -> Option<f64> {
-        DistinctCounter::estimate_distinct(self)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tracked<S>: bolt an on-arrival heavy-hitter tracker onto any frequency
-// summary.
-// ---------------------------------------------------------------------------
 
 /// A frequency summary with an on-arrival [`TopK`] tracker riding along.
 ///
@@ -380,8 +150,7 @@ impl<R: Row> DistinctQueries for DistinctCounter<R> {
 /// key's entire sub-stream lands on one shard, so any item that would enter
 /// a single-threaded tracker of the same `k` is tracked by its home shard.
 ///
-/// [`SnapshotView::top_k_tracked`](crate::SnapshotView::top_k_tracked)
-/// exposes the merged tracker.
+/// The pipeline's `SnapshotView::top_k_tracked` exposes the merged tracker.
 #[derive(Debug, Clone)]
 pub struct Tracked<S> {
     inner: S,
@@ -410,7 +179,7 @@ impl<S> Tracked<S> {
 
 impl<S> StreamSummary for Tracked<S>
 where
-    S: StreamSummary + FrequencyQueries,
+    S: SnapshotSummary + FrequencyQueries,
 {
     fn ingest(&mut self, items: &[u64]) {
         self.inner.ingest(items);
@@ -423,20 +192,9 @@ where
     }
 
     fn merge_from(&mut self, other: &Self) {
-        self.inner.merge_from(&other.inner);
-        let mut rebuilt = TopK::new(self.tracker.k());
-        for (item, _) in self
-            .tracker
-            .items()
-            .into_iter()
-            .chain(other.tracker.items())
-        {
-            let est = self.inner.estimate(item).max(0) as u64;
-            if est > 0 {
-                rebuilt.offer(item, est);
-            }
-        }
-        self.tracker = rebuilt;
+        // ALLOC-OK: one-shot entry point; steady-state folds thread a warm
+        // helper through `merge_with_helper` instead.
+        self.merge_with_helper(other, &mut MergeHelper::new());
     }
 }
 
@@ -455,22 +213,10 @@ where
 
     fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
         self.inner.merge_with_helper(&other.inner, helper);
-        // Rebuild the tracker through the helper's pair buffer instead of a
-        // fresh TopK: union both trackers' items (same largest-first order
-        // as `merge_from`), re-estimate each against the merged summary,
-        // then re-offer the survivors.
-        helper.pairs.clear();
-        self.tracker.copy_items_into(&mut helper.pairs);
-        other.tracker.copy_items_into(&mut helper.pairs);
-        for pair in helper.pairs.iter_mut() {
-            pair.1 = self.inner.estimate(pair.0).max(0) as u64;
-        }
-        self.tracker.clear();
-        for &(item, est) in helper.pairs.iter() {
-            if est > 0 {
-                self.tracker.offer(item, est);
-            }
-        }
+        let inner = &self.inner;
+        helper.rebuild_tracker(&mut self.tracker, &other.tracker, |item| {
+            inner.estimate(item)
+        });
     }
 }
 
@@ -492,29 +238,11 @@ impl<S> TrackedQueries for Tracked<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pre-0.7 compatibility shims.
-// ---------------------------------------------------------------------------
-
-/// The pre-0.7 spelling of the sharded contract, kept for one release as a
-/// migration shim: every `StreamSummary + FrequencyQueries` satisfies it.
-#[deprecated(note = "split into `StreamSummary` + `FrequencyQueries`; bound on those instead")]
-pub trait MergeableSketch: StreamSummary + FrequencyQueries {}
-
-#[allow(deprecated)] // the shim must implement its own deprecated trait
-impl<T: StreamSummary + FrequencyQueries> MergeableSketch for T {}
-
-/// The pre-0.7 spelling of the snapshot contract, kept for one release as a
-/// migration shim: every `SnapshotSummary + FrequencyQueries` satisfies it.
-#[deprecated(note = "split into `SnapshotSummary` + `FrequencyQueries`; bound on those instead")]
-pub trait SnapshotableSketch: SnapshotSummary + FrequencyQueries {}
-
-#[allow(deprecated)] // the shim must implement its own deprecated trait
-impl<T: SnapshotSummary + FrequencyQueries> SnapshotableSketch for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cms::CountMin;
+    use crate::distinct::DistinctCounter;
     use salsa_core::prelude::MergeOp;
 
     fn summary_ingest<S: StreamSummary>(summary: &mut S, items: &[u64]) {

@@ -23,6 +23,7 @@ use salsa_hash::BobHash;
 use crate::cs::CountSketch;
 use crate::heavy_hitters::TopK;
 use crate::helper::MergeHelper;
+use crate::summary::{SnapshotSummary, StreamSummary, UniversalQueries};
 
 /// One UnivMon level: a Count Sketch plus a heap of its heavy hitters.
 #[derive(Debug, Clone)]
@@ -106,14 +107,6 @@ impl<S: SignedRow> UnivMon<S> {
         }
     }
 
-    /// Processes a batch of unit-weight updates (`⟨item, 1⟩` per item) — the
-    /// sharded pipeline's hot path.
-    pub fn batch_update(&mut self, items: &[u64]) {
-        for &item in items {
-            self.update(item, 1);
-        }
-    }
-
     /// Estimates the G-sum `Σ_x G(f_x)` with the recursive UnivMon estimator.
     ///
     /// `g` receives an estimated frequency (always ≥ 1) and returns `G(f)`.
@@ -145,32 +138,42 @@ impl<S: SignedRow> UnivMon<S> {
         }
         y.max(0.0)
     }
+}
 
-    /// Estimates the `p`-th frequency moment `F_p = Σ_x f_x^p`.
-    pub fn fp_moment(&self, p: f64) -> f64 {
-        self.g_sum(|f| f.powf(p))
-    }
-
-    /// Estimates the number of distinct items (`F_0`).
-    pub fn distinct(&self) -> f64 {
-        self.g_sum(|f| if f >= 0.5 { 1.0 } else { 0.0 })
-    }
-
-    /// Estimates the empirical entropy of the frequency distribution,
-    /// `H = log2(N) − (1/N)·Σ_x f_x·log2(f_x)`.
-    pub fn entropy(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
+impl<S> StreamSummary for UnivMon<S>
+where
+    S: SignedRow + RowMerge + Clone + Send + 'static,
+{
+    fn ingest(&mut self, items: &[u64]) {
+        for &item in items {
+            self.update(item, 1);
         }
-        let n = self.total as f64;
-        let flogf = self.g_sum(|f| f * f.log2());
-        (n.log2() - flogf / n).max(0.0)
     }
 
-    /// Overwrites this sketch with `src`'s contents, reusing the level
-    /// sketches' buffers (the per-level heaps reuse what their containers
-    /// allow).  Both sketches must have the same level count and shape.
-    pub fn copy_from(&mut self, src: &Self) {
+    fn merge_from(&mut self, other: &Self) {
+        // ALLOC-OK: one-shot entry point; steady-state callers thread a warm
+        // helper through `merge_with_helper` instead.
+        self.merge_with_helper(other, &mut MergeHelper::new());
+    }
+}
+
+impl<S> SnapshotSummary for UnivMon<S>
+where
+    S: SignedRow + RowMerge + Clone + Send + 'static,
+{
+    /// The counter storage of every level's Count Sketch plus the tracked
+    /// heap entries (the sampler is a single seed and is ignored).
+    fn clone_cost_bytes(&self) -> usize {
+        self.levels
+            .iter()
+            .map(|l| l.sketch.clone_cost_bytes() + l.heap.len() * TopK::ENTRY_COST_BYTES)
+            .sum()
+    }
+
+    /// Reuses the level sketches' buffers (the per-level heaps reuse what
+    /// their containers allow).  Both sketches must have the same level
+    /// count and shape.
+    fn copy_from(&mut self, src: &Self) {
         assert_eq!(
             self.levels.len(),
             src.levels.len(),
@@ -183,21 +186,7 @@ impl<S: SignedRow> UnivMon<S> {
         self.sampler = src.sampler;
         self.total = src.total;
     }
-}
 
-impl<S: SignedRow + Clone> UnivMon<S> {
-    /// Bytes copied when this sketch is cloned for a point-in-time snapshot:
-    /// the counter storage of every level's Count Sketch plus the tracked
-    /// heap entries (the sampler is a single seed and is ignored).
-    pub fn clone_cost_bytes(&self) -> usize {
-        self.levels
-            .iter()
-            .map(|l| l.sketch.clone_cost_bytes() + l.heap.len() * TopK::ENTRY_COST_BYTES)
-            .sum()
-    }
-}
-
-impl<S: SignedRow + RowMerge> UnivMon<S> {
     /// Counter-wise merges `other` into `self` (same seeds, level count and
     /// per-level shape enforced): afterwards this sketch summarizes the union
     /// of the two input streams.
@@ -215,19 +204,11 @@ impl<S: SignedRow + RowMerge> UnivMon<S> {
     /// `g_sum`-class estimates (entropy, moments, distinct) stay within the
     /// estimator's usual tolerance of an unsharded run (pinned by the
     /// `univmon_properties` proptests in `salsa-pipeline`).
-    pub fn merge_from(&mut self, other: &Self) {
-        // ALLOC-OK: one-shot entry point; steady-state callers thread a warm
-        // helper through `merge_with_helper` instead.
-        let mut helper = MergeHelper::new();
-        self.merge_with_helper(other, &mut helper);
-    }
-
-    /// Counter-wise merges `other` into `self` exactly like
-    /// [`UnivMon::merge_from`], drawing the heap-rebuild scratch from
-    /// `helper` so a warm helper makes repeated merges nearly allocation-free
-    /// (the per-level heaps still insert into their tree set; everything
-    /// else reuses `helper.pairs`).
-    pub fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
+    ///
+    /// The heap-rebuild scratch comes from `helper`, so a warm helper makes
+    /// repeated merges nearly allocation-free (the per-level heaps still
+    /// insert into their tree set).
+    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
         assert_eq!(
             self.levels.len(),
             other.levels.len(),
@@ -236,37 +217,29 @@ impl<S: SignedRow + RowMerge> UnivMon<S> {
         self.total += other.total;
         for (mine, theirs) in self.levels.iter_mut().zip(other.levels.iter()) {
             mine.sketch.merge_from(&theirs.sketch);
-            // Rebuild the level's heavy-hitter heap by re-estimating the
-            // union of both operands' tracked items against the merged level
-            // sketch (restores the invariant that every tracked estimate
-            // reflects the full merged stream).  The candidate pairs live in
-            // the helper's reusable buffer.
-            helper.pairs.clear();
-            mine.heap.copy_items_into(&mut helper.pairs);
-            theirs.heap.copy_items_into(&mut helper.pairs);
-            for pair in helper.pairs.iter_mut() {
-                pair.1 = mine.sketch.estimate(pair.0).max(0) as u64;
-            }
-            mine.heap.clear();
-            for &(item, est) in helper.pairs.iter() {
-                if est > 0 {
-                    mine.heap.offer(item, est);
-                }
-            }
+            let sketch = &mine.sketch;
+            helper.rebuild_tracker(&mut mine.heap, &theirs.heap, |item| sketch.estimate(item));
         }
     }
+}
 
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract as [`UnivMon::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        S: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the helper-threaded merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
+impl<S: SignedRow> UniversalQueries for UnivMon<S> {
+    /// `H = log2(N) − (1/N)·Σ_x f_x·log2(f_x)`.
+    fn entropy(&self) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let n = self.total as f64;
+        let flogf = self.g_sum(|f| f * f.log2());
+        (n.log2() - flogf / n).max(0.0)
+    }
+
+    fn fp_moment(&self, p: f64) -> f64 {
+        self.g_sum(|f| f.powf(p))
+    }
+
+    fn distinct(&self) -> f64 {
+        self.g_sum(|f| if f >= 0.5 { 1.0 } else { 0.0 })
     }
 }
 
@@ -508,7 +481,7 @@ mod tests {
     fn batch_update_matches_unit_updates() {
         let items: Vec<u64> = (0..2_000u64).map(|i| i % 97).collect();
         let mut batched = UnivMon::baseline(6, 4, 512, 32, 20, 5);
-        batched.batch_update(&items);
+        batched.ingest(&items);
         let mut looped = UnivMon::baseline(6, 4, 512, 32, 20, 5);
         for &item in &items {
             looped.update(item, 1);

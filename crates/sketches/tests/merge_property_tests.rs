@@ -48,7 +48,7 @@ fn exact_union(a: &[(u64, u64)], b: &[(u64, u64)]) -> std::collections::HashMap<
 }
 
 /// Checks the sum-merge CMS equality property for one merge encoding.
-fn check_cms_sum_merge_is_lossless<E: MergeEncoding>(
+fn check_cms_sum_merge_is_lossless<E: MergeEncoding + Send + 'static>(
     a: &[(u64, u64)],
     b: &[(u64, u64)],
     seed: u64,
@@ -72,7 +72,7 @@ fn check_cms_sum_merge_is_lossless<E: MergeEncoding>(
 }
 
 /// Checks the max-merge CMS dominance properties for one merge encoding.
-fn check_cms_max_merge_dominates<E: MergeEncoding>(
+fn check_cms_max_merge_dominates<E: MergeEncoding + Send + 'static>(
     a: &[(u64, u64)],
     b: &[(u64, u64)],
     seed: u64,

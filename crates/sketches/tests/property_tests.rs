@@ -114,7 +114,7 @@ proptest! {
         for &(item, w) in &b {
             sb.update(item, w);
         }
-        sa.absorb(&sb);
+        sa.merge_from(&sb);
         let mut union = exact(&a);
         for (item, w) in exact(&b) {
             *union.entry(item).or_insert(0) += w;

@@ -33,8 +33,9 @@
 //!    to all scanned files: a silently eaten panic is as dangerous in a
 //!    test harness as in library code.
 //! 8. **Hot paths justify their allocations** — in the zero-allocation
-//!    hot-path modules (`snapshot.rs`, `live.rs`, and the `merge.rs` merge
-//!    impls under `crates/*/src`), an allocating construct (`Vec::new(`,
+//!    hot-path modules (`snapshot.rs`, `live.rs`, the `merge.rs` merge
+//!    impls and the `summary.rs` merge/copy defaults under
+//!    `crates/*/src`), an allocating construct (`Vec::new(`,
 //!    `vec![`, `.to_vec(`, `.clone()`) must carry a `// ALLOC-OK:`
 //!    justification within the three preceding lines.  These modules back
 //!    the steady-state query/merge path, which is supposed to reuse
@@ -90,7 +91,7 @@ impl Scope {
     fn for_tree_path(path: &Path) -> Self {
         let normalized = path.to_string_lossy().replace('\\', "/");
         let in_crate = |name: &str| normalized.contains(&format!("crates/{name}/src/"));
-        let hot_module = ["/snapshot.rs", "/live.rs", "/merge.rs"]
+        let hot_module = ["/snapshot.rs", "/live.rs", "/merge.rs", "/summary.rs"]
             .iter()
             .any(|name| normalized.ends_with(name));
         Self {

@@ -37,7 +37,7 @@ fn make_cms() -> impl Fn(usize) -> CountMin<SimpleSalsaRow> + Copy {
 fn unsharded(items: &[u64]) -> CountMin<SimpleSalsaRow> {
     let mut sketch = make_cms()(0);
     for chunk in items.chunks(PipelineConfig::DEFAULT_BATCH_SIZE) {
-        sketch.batch_update(chunk);
+        sketch.ingest(chunk);
     }
     sketch
 }

@@ -23,7 +23,7 @@ fn merged_cms_estimates_the_union_stream() {
         sb.update(i, 1);
         direct.update(i, 1);
     }
-    sa.absorb(&sb);
+    sa.merge_from(&sb);
     // The merged sketch never under-estimates the union frequencies.
     let truth = salsa_metrics::GroundTruth::from_items(
         &stream_a
