@@ -9,7 +9,7 @@
 //!
 //! * `fixed` — a 2-shard [`ShardedPipeline`]: the no-control-plane
 //!   baseline.
-//! * `elastic` — an [`ElasticPipeline`] cycling a scripted 1 → 4 → 2
+//! * `elastic` — a [`ShardedPipeline`] cycling a scripted 1 → 4 → 2
 //!   rescale schedule mid-stream (the acceptance scenario); reports wall
 //!   ingest throughput *including* every drain-and-seal pause, plus the
 //!   mean/max pause itself.
@@ -33,7 +33,6 @@
 //! metrics of the `fixed` and `elastic` rows are gated by `compare_bench`.
 //!
 //! [`ShardedPipeline`]: salsa_pipeline::ShardedPipeline
-//! [`ElasticPipeline`]: salsa_pipeline::ElasticPipeline
 //! [`Threshold`]: salsa_pipeline::Threshold
 //! [`LoadMonitor`]: salsa_pipeline::LoadMonitor
 
@@ -42,7 +41,7 @@ use std::time::{Duration, Instant};
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
 use salsa_metrics::mops_for;
-use salsa_pipeline::{ElasticPipeline, LoadMonitor, PipelineConfig, ShardedPipeline, Threshold};
+use salsa_pipeline::{LoadMonitor, PipelineConfig, ShardedPipeline, Threshold};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -109,7 +108,7 @@ fn main() {
         max_abs_diff(&out.merged, &single, &probes)
     };
     let elastic_diff = {
-        let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(1), make);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1), make);
         pipeline.extend(&items[..third]);
         pipeline.rescale(4);
         pipeline.extend(&items[third..2 * third]);
@@ -158,7 +157,7 @@ fn main() {
 
     // -- elastic: scripted 1 -> 4 -> 2 rescales each cycle ---------------
     {
-        let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(1), make);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1), make);
         let started = Instant::now();
         let mut cycles = 0u64;
         loop {
@@ -190,7 +189,7 @@ fn main() {
     // -- adaptive: bursts + idle phases, Threshold policy deciding -------
     {
         let batch = PipelineConfig::DEFAULT_BATCH_SIZE as u64;
-        let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(1), make);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1), make);
         let mut monitor = LoadMonitor::new();
         let mut policy = Threshold::new(1, 4, 2 * batch, 0.2);
         let mut cycles = 0u64;

@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
 use salsa_metrics::LatencySeries;
-use salsa_pipeline::{CachePolicy, ElasticPipeline, PipelineConfig};
+use salsa_pipeline::{CachePolicy, PipelineConfig, ShardedPipeline};
 use salsa_serve::{serve, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -116,9 +116,13 @@ struct Point {
 
 /// Lane 1: closed-loop point queries against an ingesting pipeline.
 fn run_point_lane(items: &[u64], seed: u64, min_secs: f64) -> Point {
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
-    let server = serve("127.0.0.1:0", pipeline.handle(), ServeConfig::default())
-        .expect("bind a loopback socket");
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
+    let server = serve(
+        "127.0.0.1:0",
+        pipeline.live_handle(),
+        ServeConfig::default(),
+    )
+    .expect("bind a loopback socket");
     let addr = server.addr();
     let stop = Arc::new(AtomicBool::new(false));
     let clients: Vec<_> = (0..CLIENTS)
@@ -185,9 +189,13 @@ fn run_point_lane(items: &[u64], seed: u64, min_secs: f64) -> Point {
 /// Lane 2: push-mode subscribers at a fixed cadence under live ingest.
 fn run_subscribe_lane(items: &[u64], seed: u64, min_secs: f64) -> Point {
     let interval = Duration::from_millis(10);
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
-    let server = serve("127.0.0.1:0", pipeline.handle(), ServeConfig::default())
-        .expect("bind a loopback socket");
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
+    let server = serve(
+        "127.0.0.1:0",
+        pipeline.live_handle(),
+        ServeConfig::default(),
+    )
+    .expect("bind a loopback socket");
     let addr = server.addr();
     let candidates: Vec<u64> = items
         .iter()
@@ -251,13 +259,14 @@ fn run_subscribe_lane(items: &[u64], seed: u64, min_secs: f64) -> Point {
 /// → point estimate → response encode → client decode.
 fn run_alloc_lane(items: &[u64], seed: u64) -> Point {
     const QUERIES: u64 = 512;
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_sketch(seed));
     let config = ServeConfig {
         cache: CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
         coalesce_window: Duration::ZERO,
         ..Default::default()
     };
-    let server = serve("127.0.0.1:0", pipeline.handle(), config).expect("bind a loopback socket");
+    let server =
+        serve("127.0.0.1:0", pipeline.live_handle(), config).expect("bind a loopback socket");
     pipeline.extend(items);
     pipeline.drain();
 

@@ -1,8 +1,7 @@
 //! # salsa-bench — the experiment harness
 //!
 //! One binary per figure of the paper's evaluation (see `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured results), plus
-//! Criterion micro-benchmarks for the speed numbers quoted in Section VI.
+//! experiment index and `EXPERIMENTS.md` for paper-vs-measured results).
 //!
 //! Every binary prints CSV to stdout (one row per plotted point) and accepts
 //! the same flags:

@@ -312,6 +312,9 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
         self.read_at_level(idx, level)
     }
 
+    // The per-item ingest step: without the hint, whether it is inlined
+    // into `update_batch` flips with unrelated call-graph changes.
+    #[inline]
     fn add(&mut self, idx: usize, value: u64) {
         if value == 0 {
             return;

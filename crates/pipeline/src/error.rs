@@ -33,7 +33,7 @@ pub enum PipelineError {
     /// from or to drain.
     AllShardsDown,
     /// A bounded wait (dispatch backpressure, a snapshot or drain reply,
-    /// the elastic seal window) hit its deadline.
+    /// a rescale's seal window) hit its deadline.
     Timeout {
         /// Which edge timed out (e.g. `"dispatch"`, `"drain"`).
         operation: &'static str,

@@ -41,14 +41,16 @@
 //!   A [`CachedSnapshots`] layer re-serves one assembled view within a
 //!   configurable staleness budget, so high query rates don't multiply the
 //!   clone cost.
-//! * The shard count itself is **elastic**: an [`ElasticPipeline`] rescales
-//!   while ingesting via generation-based resharding (drain → seal → fresh
-//!   worker set), with [`ElasticHandle`]s that keep serving across rescales
-//!   at monotone epochs, a [`policy::LoadMonitor`] sampling queue depth /
-//!   busy time / ingest rate into `salsa-metrics` gauges, and pluggable
-//!   [`policy::ScalingPolicy`] implementations deciding when to scale.
-//!   For sum-merge rows the merged view stays byte-identical to an
-//!   unsharded run no matter how many rescales happen mid-stream.
+//! * The shard count itself is **elastic**:
+//!   [`ShardedPipeline::rescale`] changes it while ingesting via
+//!   generation-based resharding (drain → seal → fresh worker set), the
+//!   same [`LiveHandle`]s keep serving across rescales at monotone epochs,
+//!   a [`policy::LoadMonitor`] samples queue depth / busy time / ingest
+//!   rate into `salsa-metrics` gauges, and pluggable
+//!   [`policy::ScalingPolicy`] implementations decide when to scale
+//!   ([`ShardedPipeline::autoscale`]).  For sum-merge rows the merged view
+//!   stays byte-identical to an unsharded run no matter how many rescales
+//!   happen mid-stream.
 //! * The pipeline is **fault-tolerant**: worker panics are caught and
 //!   published to a [`ShardHealth`] board instead of poisoning the
 //!   pipeline, queries degrade to the surviving shards (every
@@ -116,7 +118,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod elastic;
 pub mod error;
 pub mod live;
 pub mod policy;
@@ -126,7 +127,6 @@ pub mod supervisor;
 pub mod sync;
 
 pub use chaos::{silence_worker_panics, FaultKind, FaultPlan, INJECTED_PANIC};
-pub use elastic::{ElasticHandle, ElasticOutput, ElasticPipeline, GenerationInfo, RescaleEvent};
 pub use error::PipelineError;
 pub use live::{CachePolicy, CachedSnapshots, LiveHandle, SnapshotSource};
 pub use policy::{LoadMonitor, LoadSnapshot, Manual, ScalingPolicy, Threshold};
@@ -135,9 +135,11 @@ pub use salsa_sketches::summary::{
     DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary, Tracked, TrackedQueries,
     UniversalQueries,
 };
-pub use sharded::{run_sharded, PipelineOutput, ShardLoad, ShardStats, ShardedPipeline};
+pub use sharded::{
+    run_sharded, PipelineOutput, RescaleEvent, ShardLoad, ShardStats, ShardedPipeline,
+};
 pub use snapshot::{CoverageMeta, SnapshotView};
-pub use supervisor::{Backoff, Recovery, RetryPolicy, ShardHealth, ShardState, SupervisorConfig};
+pub use supervisor::{Backoff, Recovery, ShardHealth, ShardState, SupervisorConfig};
 
 /// Default seed of the router hash.  It is fixed (and distinct from typical
 /// sketch seeds) so that routing is independent of the row hash functions:

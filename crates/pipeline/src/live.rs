@@ -1,19 +1,23 @@
 //! Concurrent query access to a running pipeline.
 //!
 //! A [`LiveHandle`] is a clonable, `Send` handle that injects
-//! `Command::Snapshot` requests into the shard workers' command channels.  Because each channel is FIFO, a snapshot
-//! observes exactly the batches queued before it on every shard — a
-//! consistent per-shard prefix of the acknowledged stream — and successive
-//! snapshots through one handle have monotonically non-decreasing epochs.
-//! The workers never stop ingesting: serving a snapshot costs one summary
-//! clone per shard, accounted in
+//! `Command::Snapshot` requests into the shard workers' command channels.
+//! Because each channel is FIFO, a snapshot observes exactly the batches
+//! queued before it on every shard — a consistent per-shard prefix of the
+//! acknowledged stream — and successive snapshots through one handle have
+//! monotonically non-decreasing epochs.  The workers never stop ingesting:
+//! serving a snapshot costs one summary clone per shard, accounted in
 //! [`ShardStats::snapshot_secs`](crate::ShardStats::snapshot_secs) and
 //! bounded by [`SnapshotSummary::clone_cost_bytes`].
+//!
+//! A handle resolves the live generation on every query from one state the
+//! pipeline publishes behind one `RwLock`: restarts and rescales republish
+//! it, so one handle keeps serving across both.
 
-use std::sync::mpsc::{sync_channel, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
-use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, RwLock};
 
 use salsa_hash::BobHash;
@@ -21,32 +25,103 @@ use salsa_metrics::HealthCounters;
 use salsa_sketches::helper::MergeHelper;
 
 use crate::error::PipelineError;
-use crate::sharded::{Command, ShardProgress};
+use crate::sharded::{Command, ShardProgress, ShardSnapshot};
 use crate::snapshot::{CoverageMeta, SnapshotView};
-use crate::supervisor::{ShardHealth, ShardState};
+use crate::supervisor::{Backoff, ShardHealth, ShardState, SupervisorConfig};
 use crate::{FrequencyQueries, Partition, SnapshotSummary};
+
+/// The live generation's workers as handles reach them: command senders,
+/// published progress, and the health board.  Immutable once published; a
+/// restart or rescale publishes a fresh one.
+pub(crate) struct WorkerSet<S> {
+    pub(crate) senders: Vec<SyncSender<Command<S>>>,
+    pub(crate) progress: Vec<Arc<ShardProgress>>,
+    pub(crate) health: Arc<ShardHealth>,
+}
+
+impl<S> WorkerSet<S> {
+    /// Items the live workers have applied, across incarnations.
+    pub(crate) fn acknowledged(&self) -> u64 {
+        self.progress
+            .iter()
+            .map(|p| p.applied.load(Ordering::Acquire))
+            .sum()
+    }
+}
+
+/// The state every [`LiveHandle`] resolves its queries against, written
+/// only by the pipeline (on restart, rescale, finish and drop) and read as
+/// one consistent whole under the lock.
+///
+/// **Epoch rule.**  A view's epoch counts every item any worker
+/// acknowledged, covered or not: the sealed generations' acknowledged
+/// items plus, per live shard, every incarnation's applied items.  Each
+/// term only grows, so epochs through one handle are monotone across
+/// deaths, restarts and rescales by construction; `uncovered_items` names
+/// the part a view does not cover.
+pub(crate) struct Published<S> {
+    /// Index of the live generation (number of completed rescales).
+    pub(crate) generation: u64,
+    /// The live generation's workers; `None` once finished or dropped.
+    pub(crate) live: Option<Arc<WorkerSet<S>>>,
+    /// Counter-wise union of every sealed generation (`None` before the
+    /// first rescale).  Rebuilt — never mutated — at each seal, so a query
+    /// clones a pointer under the read lock instead of the counters, and
+    /// in-flight queries keep their consistent copy across a seal.
+    pub(crate) sealed: Option<Arc<S>>,
+    /// Items the sealed generations' workers acknowledged, covered or not.
+    pub(crate) sealed_acknowledged: u64,
+    /// The part of `sealed_acknowledged` that `sealed` does not cover:
+    /// applied by incarnations that died.
+    pub(crate) sealed_uncovered: u64,
+}
+
+impl<S> Published<S> {
+    /// Items acknowledged across all generations.
+    pub(crate) fn acknowledged(&self) -> u64 {
+        self.sealed_acknowledged + self.live.as_ref().map_or(0, |live| live.acknowledged())
+    }
+}
+
+/// One consistent read of [`Published`]: what a single query runs against.
+struct Resolved<S> {
+    generation: u64,
+    live: Arc<WorkerSet<S>>,
+    sealed: Option<Arc<S>>,
+    sealed_acknowledged: u64,
+    sealed_uncovered: u64,
+}
 
 /// A per-handle pool of spare summary buffers, recycled between snapshot
 /// assemblies: shard replies fold into the view and fold *back* into the
 /// pool, so after warm-up a handle's snapshots refresh existing counter
 /// storage (via [`SnapshotSummary::copy_from`] on the worker side) instead
-/// of cloning from scratch.  Bounded, so a burst of concurrent snapshots
-/// cannot hoard memory.
-pub(crate) struct SnapshotArena<S> {
+/// of cloning from scratch.  Bounded by one spare per live shard plus one
+/// for a recycled merged view — exactly what one steady-state assembly
+/// consumes — so a burst of concurrent snapshots cannot hoard memory.
+struct SnapshotArena<S> {
     spares: Mutex<Vec<S>>,
-    cap: usize,
+    cap: AtomicUsize,
 }
 
 impl<S> SnapshotArena<S> {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new() -> Self {
         Self {
-            spares: Mutex::new(Vec::with_capacity(cap)),
-            cap,
+            // ALLOC-OK: empty Vec (no heap storage) at handle creation.
+            spares: Mutex::new(Vec::new()),
+            cap: AtomicUsize::new(0),
         }
     }
 
+    /// Sizes the pool for a generation of `shards` shards.
+    fn fit(&self, shards: usize) {
+        // RELAXED-OK: a sizing hint; the spares themselves are guarded by
+        // the mutex, and a stale cap only keeps or drops one buffer.
+        self.cap.store(shards + 1, Ordering::Relaxed);
+    }
+
     /// Takes one spare buffer, if any.
-    pub(crate) fn take(&self) -> Option<S> {
+    fn take(&self) -> Option<S> {
         // PANIC-OK: the lock only guards a Vec push/pop; no user code runs
         // under it, so poisoning is unreachable.
         let mut spares = self.spares.lock().expect("snapshot arena lock poisoned");
@@ -54,43 +129,42 @@ impl<S> SnapshotArena<S> {
     }
 
     /// Returns a buffer to the pool; buffers beyond the cap are dropped.
-    pub(crate) fn put(&self, spare: S) {
+    fn put(&self, spare: S) {
         // PANIC-OK: as for `take` — the lock guards a plain Vec operation.
         let mut spares = self.spares.lock().expect("snapshot arena lock poisoned");
-        if spares.len() < self.cap {
+        // RELAXED-OK: see `fit`.
+        if spares.len() < self.cap.load(Ordering::Relaxed) {
             spares.push(spare);
         }
     }
 }
 
-/// The shard workers' command senders, shared between the producer and
-/// every [`LiveHandle`] so a restarted shard's fresh channel is visible to
-/// handles created before the restart.  The producer replaces one entry per
-/// restart; handles clone the current senders per snapshot.
-pub(crate) type SenderDirectory<S> = Arc<RwLock<Vec<SyncSender<Command<S>>>>>;
-
 /// A clonable handle for querying a [`ShardedPipeline`] from other threads
 /// while ingestion continues.
 ///
-/// Obtain one with [`ShardedPipeline::live_handle`].  Every query returns
-/// `None` once [`ShardedPipeline::finish`] has shut the workers down, so a
-/// query thread can simply loop until its handle goes dark.  While shard
-/// workers are *dead* (panicked) rather than stopped, queries keep working
-/// against the survivors: views carry coverage metadata naming the gap, and
-/// the `try_` variants report the failure modes as typed
-/// [`PipelineError`]s.
+/// Obtain one with [`ShardedPipeline::live_handle`].  Every query resolves
+/// the live generation afresh, so a handle keeps serving across shard
+/// restarts and rescales: a query that races a rescale's drain-and-seal
+/// window retries against the freshly published generation, with the
+/// [`SupervisorConfig::backoff`] schedule, for at most
+/// [`SupervisorConfig::snapshot_timeout`].  Every query returns `None` once
+/// [`ShardedPipeline::finish`] has shut the workers down (or the pipeline
+/// was dropped), so a query thread can simply loop until its handle goes
+/// dark.  While shard workers are *dead* (panicked) rather than stopped,
+/// queries keep working against the survivors: views carry coverage
+/// metadata naming the gap, and the `try_` variants report the failure
+/// modes as typed [`PipelineError`]s.
 ///
 /// [`ShardedPipeline`]: crate::ShardedPipeline
 /// [`ShardedPipeline::live_handle`]: crate::ShardedPipeline::live_handle
 /// [`ShardedPipeline::finish`]: crate::ShardedPipeline::finish
 pub struct LiveHandle<S: SnapshotSummary> {
-    senders: SenderDirectory<S>,
-    progress: Vec<Arc<ShardProgress>>,
+    published: Arc<RwLock<Published<S>>>,
     partition: Partition,
     router: BobHash,
-    health: Arc<ShardHealth>,
     counters: Arc<HealthCounters>,
     snapshot_timeout: Duration,
+    backoff: Backoff,
     /// Spare snapshot buffers, recycled across this handle's snapshots.
     arena: SnapshotArena<S>,
     /// Reusable merge scratch for this handle's snapshot folds.
@@ -100,17 +174,15 @@ pub struct LiveHandle<S: SnapshotSummary> {
 impl<S: SnapshotSummary> Clone for LiveHandle<S> {
     fn clone(&self) -> Self {
         Self {
-            senders: Arc::clone(&self.senders),
-            // ALLOC-OK: handle cloning is setup, not the query hot path.
-            progress: self.progress.clone(),
+            published: Arc::clone(&self.published),
             partition: self.partition,
             router: self.router,
-            health: Arc::clone(&self.health),
             counters: Arc::clone(&self.counters),
             snapshot_timeout: self.snapshot_timeout,
+            backoff: self.backoff,
             // Fresh (empty) scratch: arenas and helpers are per-handle so
             // clones on different threads never contend on them.
-            arena: SnapshotArena::new(self.arena.cap),
+            arena: SnapshotArena::new(),
             helper: Mutex::new(MergeHelper::new()),
         }
     }
@@ -118,208 +190,210 @@ impl<S: SnapshotSummary> Clone for LiveHandle<S> {
 
 impl<S: SnapshotSummary> LiveHandle<S> {
     pub(crate) fn new(
-        senders: SenderDirectory<S>,
-        progress: Vec<Arc<ShardProgress>>,
+        published: Arc<RwLock<Published<S>>>,
         partition: Partition,
         router: BobHash,
-        health: Arc<ShardHealth>,
-        counters: Arc<HealthCounters>,
-        snapshot_timeout: Duration,
+        supervisor: &SupervisorConfig,
     ) -> Self {
-        // One spare per shard plus one for a recycled merged view: exactly
-        // what one steady-state snapshot assembly consumes.
-        let arena = SnapshotArena::new(progress.len() + 1);
         Self {
-            senders,
-            progress,
+            published,
             partition,
             router,
-            health,
-            counters,
-            snapshot_timeout,
-            arena,
+            counters: Arc::clone(&supervisor.counters),
+            snapshot_timeout: supervisor.snapshot_timeout,
+            backoff: supervisor.backoff,
+            arena: SnapshotArena::new(),
             helper: Mutex::new(MergeHelper::new()),
         }
     }
 
-    /// The current command senders, one per shard.  Cloned out of the
-    /// shared directory so a shard restarted after this handle was created
-    /// is still reachable.
-    fn current_senders(&self) -> Vec<SyncSender<Command<S>>> {
-        self.senders
+    /// Runs `read` on the published state under the read lock.
+    fn read<R>(&self, read: impl FnOnce(&Published<S>) -> R) -> R {
+        let published = self
+            .published
             .read()
-            // PANIC-OK: the directory lock only guards sender replacement
-            // on a shard restart; no user code runs under it, so poisoning
-            // is unreachable.
-            .expect("sender directory lock poisoned")
-            // ALLOC-OK: N sender handles per snapshot, copied out so the
-            // lock is not held while sends block on backpressure.
-            .clone()
+            // PANIC-OK: the pipeline runs no user code under the state
+            // lock, so poisoning is unreachable.
+            .expect("pipeline state lock poisoned");
+        read(&published)
+    }
+
+    /// The live generation and the sealed state, read together; `Finished`
+    /// once the pipeline is gone.
+    fn resolve(&self) -> Result<Resolved<S>, PipelineError> {
+        self.read(|published| {
+            let live = published.live.as_ref().ok_or(PipelineError::Finished)?;
+            Ok(Resolved {
+                generation: published.generation,
+                live: Arc::clone(live),
+                // ALLOC-OK: an `Arc` refcount bump, no heap data.
+                sealed: published.sealed.clone(),
+                sealed_acknowledged: published.sealed_acknowledged,
+                sealed_uncovered: published.sealed_uncovered,
+            })
+        })
+    }
+
+    /// Runs one query attempt against the live generation, retrying while
+    /// that generation's workers are stopped but not yet replaced — the
+    /// drain-and-seal window of a rescale, or a finish in progress.  Other
+    /// outcomes, degraded views included, pass straight through.
+    fn retrying(
+        &self,
+        mut attempt: impl FnMut(&Resolved<S>) -> Result<SnapshotView<S>, PipelineError>,
+    ) -> Result<SnapshotView<S>, PipelineError> {
+        let started = Instant::now();
+        let mut pause = self.backoff.initial;
+        loop {
+            let resolved = self.resolve()?;
+            match attempt(&resolved) {
+                Err(PipelineError::Finished) => {}
+                other => return other,
+            }
+            let replaced = self.read(|published| {
+                published
+                    .live
+                    .as_ref()
+                    .is_none_or(|live| !Arc::ptr_eq(live, &resolved.live))
+            });
+            if replaced {
+                continue;
+            }
+            // Sleep rather than spin: the seal window is drain-bound
+            // (milliseconds), and a pure yield loop would burn a core per
+            // waiting query thread, competing with the very drain being
+            // waited on.  Past the deadline the pipeline is stuck, not
+            // sealing.
+            if started.elapsed() >= self.snapshot_timeout {
+                self.counters.timeouts.incr();
+                return Err(PipelineError::Timeout {
+                    operation: "seal-window retry",
+                    waited: started.elapsed(),
+                });
+            }
+            std::thread::sleep(pause);
+            pause = self.backoff.next(pause);
+        }
+    }
+
+    /// Sends one snapshot request to a worker, attaching a spare buffer;
+    /// `None` when the worker is gone (the spare is reclaimed).
+    fn request(&self, tx: &SyncSender<Command<S>>) -> Option<Receiver<ShardSnapshot<S>>> {
+        let (reply, reply_rx) = sync_channel(1);
+        let command = Command::Snapshot {
+            reply,
+            recycled: self.arena.take(),
+        };
+        match tx.send(command) {
+            Ok(()) => Some(reply_rx),
+            Err(err) => {
+                if let Command::Snapshot {
+                    recycled: Some(buf),
+                    ..
+                } = err.0
+                {
+                    self.arena.put(buf);
+                }
+                None
+            }
+        }
+    }
+
+    /// Waits for a requested reply until `deadline`: `Ok(None)` when the
+    /// worker is gone (never requested, or died before replying).
+    fn reply(
+        &self,
+        request: Option<Receiver<ShardSnapshot<S>>>,
+        deadline: Instant,
+    ) -> Result<Option<ShardSnapshot<S>>, PipelineError> {
+        let Some(reply_rx) = request else {
+            return Ok(None);
+        };
+        match reply_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok(reply) => Ok(Some(reply)),
+            Err(RecvTimeoutError::Disconnected) => Ok(None),
+            Err(RecvTimeoutError::Timeout) => {
+                self.counters.timeouts.incr();
+                Err(PipelineError::Timeout {
+                    operation: "snapshot",
+                    waited: self.snapshot_timeout,
+                })
+            }
+        }
     }
 
     /// Classifies a shard whose channel turned out to be disconnected: a
-    /// cleanly stopped worker means the pipeline finished; anything else is
-    /// a dead shard.  The worker publishes its fate *before* the channel
-    /// disconnects, so this read is never ahead of the failure it explains.
-    fn shard_gone(&self, shard: usize) -> PipelineError {
-        if self.health.state(shard) == ShardState::Stopped {
+    /// cleanly stopped worker means its generation ended (sealed or
+    /// finished); anything else is a dead shard.  The worker publishes its
+    /// fate *before* the channel disconnects, so this read is never ahead
+    /// of the failure it explains.
+    fn shard_gone(live: &WorkerSet<S>, shard: usize) -> PipelineError {
+        if live.health.state(shard) == ShardState::Stopped {
             PipelineError::Finished
         } else {
             PipelineError::ShardDown { shard }
         }
     }
 
-    /// Number of worker shards behind this handle.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.progress.len()
-    }
-
-    /// The shared per-shard health board (see [`ShardHealth`]).
-    #[inline]
-    pub fn health(&self) -> &Arc<ShardHealth> {
-        &self.health
-    }
-
-    /// The pipeline's partitioning mode.
-    #[inline]
-    pub fn partition(&self) -> Partition {
-        self.partition
-    }
-
-    /// Total updates acknowledged (applied by workers) so far, across all
-    /// shards.  Comparing this against a view's [`SnapshotView::epoch`]
-    /// gives the view's staleness in items.
-    pub fn acknowledged(&self) -> u64 {
-        self.progress
-            .iter()
-            .map(|p| p.applied.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// The shard that owns `item`'s entire sub-stream, if the partitioning
-    /// mode gives keys an owner (`None` under [`Partition::RoundRobin`],
-    /// where every shard sees an arbitrary slice).
-    pub fn owner_of(&self, item: u64) -> Option<usize> {
-        match self.partition {
-            Partition::ByKey => {
-                Some((self.router.hash_u64(item) % self.progress.len() as u64) as usize)
-            }
-            Partition::RoundRobin => None,
-        }
-    }
-
-    /// Takes a consistent snapshot of every *reachable* shard and merges
-    /// the clones into one epoch-stamped [`SnapshotView`], without stopping
-    /// ingestion.
-    ///
-    /// The epoch is the sum of the per-shard prefixes the view reflects;
-    /// successive calls through one handle see non-decreasing epochs.
-    /// Dead shards do not fail the call: the view degrades past them, and
-    /// [`SnapshotView::coverage`] names the gap.  Errors are reserved for
-    /// states where no view can be served at all:
-    ///
-    /// * [`PipelineError::Finished`] — the pipeline shut down cleanly;
-    /// * [`PipelineError::AllShardsDown`] — every worker died;
-    /// * [`PipelineError::Timeout`] — a shard's reply missed the configured
-    ///   [`snapshot_timeout`](crate::SupervisorConfig::snapshot_timeout)
-    ///   (a wedged worker, not a dead one).
-    #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
-    pub fn try_snapshot(&self) -> Result<SnapshotView<S>, PipelineError> {
+    /// Merges every reachable live shard's copy with the sealed union.
+    fn assemble(&self, resolved: &Resolved<S>) -> Result<SnapshotView<S>, PipelineError> {
         let issued = Instant::now();
+        let live = &resolved.live;
+        self.arena.fit(live.senders.len());
         // Request every shard before collecting any reply, so the per-shard
-        // prefixes are taken as close together in time as the channels allow.
-        // A failed send means that worker is gone; its fate is classified
-        // below, from the health board.
+        // prefixes are taken as close together in time as the channels
+        // allow.  A failed send means that worker is gone; its fate is
+        // classified below, from the health board.
         // ALLOC-OK: one reply channel and one request slot per shard; the
         // dominant per-snapshot cost (the summary copies) is recycled
         // through the arena instead.
-        let requests: Vec<_> = self
-            .current_senders()
-            .iter()
-            .map(|tx| {
-                let (reply_tx, reply_rx) = sync_channel(1);
-                let command = Command::Snapshot {
-                    reply: reply_tx,
-                    recycled: self.arena.take(),
-                };
-                match tx.send(command) {
-                    Ok(()) => Some(reply_rx),
-                    Err(err) => {
-                        // The worker is gone; reclaim the spare we attached.
-                        if let Command::Snapshot {
-                            recycled: Some(buf),
-                            ..
-                        } = err.0
-                        {
-                            self.arena.put(buf);
-                        }
-                        None
-                    }
-                }
-            })
-            .collect();
+        let requests: Vec<_> = live.senders.iter().map(|tx| self.request(tx)).collect();
         let deadline = issued + self.snapshot_timeout;
-        let mut epoch = 0u64;
-        let mut uncovered = 0u64;
+        let mut epoch = resolved.sealed_acknowledged;
+        let mut uncovered = resolved.sealed_uncovered;
         let mut shards_failed = 0usize;
         let mut shards = Vec::with_capacity(requests.len());
         let mut merged: Option<S> = None;
         for (shard, request) in requests.into_iter().enumerate() {
-            let reply = match request {
-                None => None,
-                Some(reply_rx) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    match reply_rx.recv_timeout(remaining) {
-                        Ok(reply) => Some(reply),
-                        // The worker died between our send and its reply.
-                        Err(RecvTimeoutError::Disconnected) => None,
-                        Err(RecvTimeoutError::Timeout) => {
-                            self.counters.timeouts.incr();
-                            return Err(PipelineError::Timeout {
-                                operation: "snapshot",
-                                waited: self.snapshot_timeout,
-                            });
-                        }
-                    }
+            let Some(reply) = self.reply(request, deadline)? else {
+                if let PipelineError::Finished = Self::shard_gone(live, shard) {
+                    return Err(PipelineError::Finished);
                 }
+                // A dead shard's published count is frozen; everything it
+                // acknowledged is missing from this view.
+                shards_failed += 1;
+                let applied = live.progress[shard].applied.load(Ordering::Acquire);
+                epoch += applied;
+                uncovered += applied;
+                continue;
             };
-            match reply {
-                Some(reply) => {
-                    epoch += reply.stats.items;
-                    // A restarted shard's reply covers its incarnation only;
-                    // what prior incarnations acknowledged is uncovered.
-                    uncovered += self.progress[shard].lost.load(Ordering::Acquire);
-                    shards.push(reply.stats);
-                    match merged.as_mut() {
-                        None => merged = Some(reply.sketch),
-                        Some(m) => {
-                            // PANIC-OK: the lock only guards the scratch
-                            // buffer; no user code runs under it.
-                            let mut helper =
-                                self.helper.lock().expect("merge helper lock poisoned");
-                            m.merge_with_helper(&reply.sketch, &mut helper);
-                            drop(helper);
-                            // The absorbed reply keeps its allocation alive
-                            // as a spare for the next snapshot.
-                            self.arena.put(reply.sketch);
-                        }
-                    }
-                }
-                None => {
-                    if let PipelineError::Finished = self.shard_gone(shard) {
-                        return Err(PipelineError::Finished);
-                    }
-                    // A dead shard's published count is frozen; everything
-                    // it acknowledged is missing from this view.
-                    shards_failed += 1;
-                    uncovered += self.progress[shard].applied.load(Ordering::Acquire);
+            // A restarted shard's reply covers its incarnation only; what
+            // prior incarnations acknowledged is uncovered.
+            epoch += reply.applied_base + reply.stats.items;
+            uncovered += reply.applied_base;
+            shards.push(reply.stats);
+            match merged.as_mut() {
+                None => merged = Some(reply.sketch),
+                Some(m) => {
+                    // PANIC-OK: the lock only guards the scratch buffer; no
+                    // user code runs under it.
+                    let mut helper = self.helper.lock().expect("merge helper lock poisoned");
+                    m.merge_with_helper(&reply.sketch, &mut helper);
+                    drop(helper);
+                    // The absorbed reply keeps its allocation alive as a
+                    // spare for the next snapshot.
+                    self.arena.put(reply.sketch);
                 }
             }
         }
-        let Some(merged) = merged else {
+        let Some(mut merged) = merged else {
             return Err(PipelineError::AllShardsDown);
         };
+        if let Some(sealed) = &resolved.sealed {
+            // PANIC-OK: as above — the lock guards the scratch buffer.
+            let mut helper = self.helper.lock().expect("merge helper lock poisoned");
+            merged.merge_with_helper(sealed, &mut helper);
+        }
         let coverage = CoverageMeta {
             shards_ok: shards.len(),
             shards_failed,
@@ -329,83 +403,133 @@ impl<S: SnapshotSummary> LiveHandle<S> {
             self.counters.degraded_snapshots.incr();
         }
         Ok(SnapshotView::with_coverage(
-            merged, epoch, coverage, shards, issued,
+            merged,
+            epoch,
+            resolved.generation,
+            coverage,
+            shards,
+            issued,
         ))
+    }
+
+    /// One live shard's copy, as a shard-local view.
+    fn assemble_shard(
+        &self,
+        resolved: &Resolved<S>,
+        shard: usize,
+    ) -> Result<SnapshotView<S>, PipelineError> {
+        let issued = Instant::now();
+        let live = &resolved.live;
+        self.arena.fit(live.senders.len());
+        let tx = live
+            .senders
+            .get(shard)
+            .ok_or(PipelineError::ShardDown { shard })?;
+        let Some(reply) = self.reply(self.request(tx), issued + self.snapshot_timeout)? else {
+            return Err(Self::shard_gone(live, shard));
+        };
+        let coverage = CoverageMeta {
+            shards_ok: 1,
+            shards_failed: 0,
+            uncovered_items: reply.applied_base,
+        };
+        if !coverage.is_full() {
+            self.counters.degraded_snapshots.incr();
+        }
+        Ok(SnapshotView::with_coverage(
+            reply.sketch,
+            reply.applied_base + reply.stats.items,
+            resolved.generation,
+            coverage,
+            // ALLOC-OK: one-element stats Vec per single-shard view.
+            vec![reply.stats],
+            issued,
+        ))
+    }
+
+    /// Number of worker shards in the live generation, or `0` once the
+    /// pipeline has finished.
+    pub fn shards(&self) -> usize {
+        self.read(|published| published.live.as_ref().map_or(0, |live| live.senders.len()))
+    }
+
+    /// The pipeline's partitioning mode.
+    #[inline]
+    pub fn partition(&self) -> Partition {
+        self.partition
+    }
+
+    /// Total updates acknowledged (applied by workers) so far, across all
+    /// shards, worker incarnations and generations — covered or not, so it
+    /// only grows.  Comparing this against a view's
+    /// [`SnapshotView::epoch`] gives the view's staleness in items.  After
+    /// the pipeline finishes this stays at the final count.
+    pub fn acknowledged(&self) -> u64 {
+        self.read(Published::acknowledged)
+    }
+
+    fn owner(&self, item: u64, shards: usize) -> usize {
+        (self.router.hash_u64(item) % shards as u64) as usize
+    }
+
+    /// The shard of the live generation that owns `item`'s entire
+    /// sub-stream, if the partitioning mode gives keys an owner (`None`
+    /// under [`Partition::RoundRobin`], where every shard sees an arbitrary
+    /// slice, and once the pipeline has finished).
+    pub fn owner_of(&self, item: u64) -> Option<usize> {
+        match (self.partition, self.shards()) {
+            (Partition::ByKey, shards) if shards > 0 => Some(self.owner(item, shards)),
+            _ => None,
+        }
+    }
+
+    /// Takes a consistent snapshot of every *reachable* shard and merges
+    /// the clones — and every sealed generation — into one epoch-stamped
+    /// [`SnapshotView`], without stopping ingestion.
+    ///
+    /// The epoch counts every acknowledged item the view's per-shard
+    /// prefixes and sealed generations reflect, covered or not; successive
+    /// calls through one handle see non-decreasing epochs, across deaths,
+    /// restarts and rescales.  Dead shards do not fail the call: the view
+    /// degrades past them, and [`SnapshotView::coverage`] names the gap.
+    /// Errors are reserved for states where no view can be served at all:
+    ///
+    /// * [`PipelineError::Finished`] — the pipeline shut down cleanly;
+    /// * [`PipelineError::AllShardsDown`] — every live worker died;
+    /// * [`PipelineError::Timeout`] — a shard's reply missed the configured
+    ///   [`snapshot_timeout`](crate::SupervisorConfig::snapshot_timeout)
+    ///   (a wedged worker, not a dead one), or a seal window outlasted it.
+    #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
+    pub fn try_snapshot(&self) -> Result<SnapshotView<S>, PipelineError> {
+        self.retrying(|resolved| self.assemble(resolved))
     }
 
     /// [`LiveHandle::try_snapshot`] flattened to an `Option`: `None` once
     /// the pipeline has finished — or when no view can be assembled at all
-    /// (every worker dead, or a reply deadline expired).  Degraded views
-    /// are `Some`; check [`SnapshotView::is_degraded`].
+    /// (every worker dead, or a deadline expired).  Degraded views are
+    /// `Some`; check [`SnapshotView::is_degraded`].
     #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
     pub fn snapshot(&self) -> Option<SnapshotView<S>> {
         self.try_snapshot().ok()
     }
 
-    /// Takes a snapshot of a single shard.  The view's epoch (and its
-    /// coverage metadata) is shard-local: that shard's acknowledged items.
+    /// Takes a snapshot of a single shard of the live generation.  The
+    /// view's epoch (and its coverage metadata) is shard-local: every item
+    /// that shard acknowledged, with its earlier incarnations' items named
+    /// as uncovered.
     ///
     /// Under [`Partition::ByKey`] the owning shard holds a key's *entire*
-    /// sub-stream, so for sum-merge rows a single-shard view never
-    /// under-estimates that key and is at most the full merged view's
-    /// estimate (it sees only same-shard hash collisions, not the other
-    /// shards') — a point-query fast path at a fraction of the clone cost.
+    /// sub-stream of the live generation, so for sum-merge rows a
+    /// single-shard view never under-estimates that key's live count and
+    /// is at most the full merged view's estimate (it sees only same-shard
+    /// hash collisions, not the other shards') — a point-query fast path at
+    /// a fraction of the clone cost.
     ///
     /// Unlike [`LiveHandle::try_snapshot`], a dead shard is an error here
     /// ([`PipelineError::ShardDown`]): there is no survivor to degrade to.
     #[must_use = "the snapshot clones the shard's summary; dropping it wastes that work"]
     pub fn try_snapshot_shard(&self, shard: usize) -> Result<SnapshotView<S>, PipelineError> {
-        let issued = Instant::now();
-        let sender = self
-            .current_senders()
-            .get(shard)
-            .ok_or(PipelineError::ShardDown { shard })?
-            // ALLOC-OK: a channel-sender handle (refcount bump, no heap
-            // data), detached so the directory Vec can drop first.
-            .clone();
-        let (reply_tx, reply_rx) = sync_channel(1);
-        let command = Command::Snapshot {
-            reply: reply_tx,
-            recycled: self.arena.take(),
-        };
-        if let Err(err) = sender.send(command) {
-            if let Command::Snapshot {
-                recycled: Some(buf),
-                ..
-            } = err.0
-            {
-                self.arena.put(buf);
-            }
-            return Err(self.shard_gone(shard));
-        }
-        match reply_rx.recv_timeout(self.snapshot_timeout) {
-            Ok(reply) => {
-                let coverage = CoverageMeta {
-                    shards_ok: 1,
-                    shards_failed: 0,
-                    uncovered_items: self.progress[shard].lost.load(Ordering::Acquire),
-                };
-                if !coverage.is_full() {
-                    self.counters.degraded_snapshots.incr();
-                }
-                Ok(SnapshotView::with_coverage(
-                    reply.sketch,
-                    reply.stats.items,
-                    coverage,
-                    // ALLOC-OK: one-element stats Vec per single-shard view.
-                    vec![reply.stats],
-                    issued,
-                ))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(self.shard_gone(shard)),
-            Err(RecvTimeoutError::Timeout) => {
-                self.counters.timeouts.incr();
-                Err(PipelineError::Timeout {
-                    operation: "snapshot",
-                    waited: self.snapshot_timeout,
-                })
-            }
-        }
+        self.retrying(|resolved| self.assemble_shard(resolved, shard))
     }
 
     /// [`LiveHandle::try_snapshot_shard`] flattened to an `Option`: `None`
@@ -418,26 +542,33 @@ impl<S: SnapshotSummary> LiveHandle<S> {
 
     /// Wraps this handle in a [`CachedSnapshots`] layer that re-serves one
     /// assembled view until it exceeds the given staleness bounds — see
-    /// [`CachePolicy`] for the bounds' semantics.
+    /// [`CachePolicy`] for the bounds' semantics.  The cache carries over
+    /// rescales because the handle does.
     pub fn cached(self, policy: CachePolicy) -> CachedSnapshots<Self, S> {
         CachedSnapshots::new(self, policy)
     }
 }
 
 impl<S: SnapshotSummary + FrequencyQueries> LiveHandle<S> {
-    /// Estimates the frequency of `item` against fresh shard state.
+    /// Estimates the frequency of `item` over the whole stream, against
+    /// fresh shard state.
     ///
-    /// Under [`Partition::ByKey`] this snapshots only the owning shard;
-    /// under [`Partition::RoundRobin`] it falls back to a full merged
-    /// snapshot.  Returns `None` once the pipeline has been finished.
-    /// Either way the view's summary buffer is recycled into the handle's
-    /// arena afterwards, so repeated point queries refresh one buffer
-    /// instead of cloning per call.
+    /// Under [`Partition::ByKey`], while no generation is sealed, this
+    /// snapshots only the owning shard; otherwise (round-robin routing, or
+    /// after a rescale, when no single shard owns a key's whole history) it
+    /// falls back to a full merged snapshot.  Returns `None` once the
+    /// pipeline has been finished.  Either way the view's summary buffer is
+    /// recycled into the handle's arena afterwards, so repeated point
+    /// queries refresh one buffer instead of cloning per call.
     pub fn estimate(&self, item: u64) -> Option<i64> {
-        let view = match self.owner_of(item) {
-            Some(shard) => self.snapshot_shard(shard)?,
-            None => self.snapshot()?,
-        };
+        let view = self
+            .retrying(|resolved| match (self.partition, &resolved.sealed) {
+                (Partition::ByKey, None) => {
+                    self.assemble_shard(resolved, self.owner(item, resolved.live.senders.len()))
+                }
+                _ => self.assemble(resolved),
+            })
+            .ok()?;
         let estimate = view.estimate(item);
         self.arena.put(view.into_merged());
         Some(estimate)
@@ -445,10 +576,9 @@ impl<S: SnapshotSummary + FrequencyQueries> LiveHandle<S> {
 }
 
 /// Anything that can produce merged, epoch-stamped views of a running
-/// pipeline and report its live acknowledged count: [`LiveHandle`] (one
-/// fixed worker set) and [`ElasticHandle`](crate::ElasticHandle) (across
-/// rescales).  The [`CachedSnapshots`] layer is generic over this, so both
-/// handle kinds share one cache implementation.
+/// pipeline and report its live acknowledged count: a [`LiveHandle`], or a
+/// custom source (a test double, a proxy over a remote pipeline).  The
+/// [`CachedSnapshots`] layer and the network server are generic over this.
 pub trait SnapshotSource<S> {
     /// A fresh consistent view, or `None` once the pipeline has finished.
     fn snapshot(&self) -> Option<SnapshotView<S>>;

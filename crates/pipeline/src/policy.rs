@@ -1,5 +1,5 @@
 //! *When* to scale, decoupled from *how*: load monitoring and pluggable
-//! scaling policies for the elastic control plane.
+//! scaling policies for [`ShardedPipeline::autoscale`].
 //!
 //! [`LoadMonitor::sample`] turns the workers' free-running progress
 //! counters into a [`LoadSnapshot`] — per-shard queue depth, busy-seconds
@@ -14,14 +14,14 @@
 //! The split matters: policies are pure, deterministic functions of the
 //! observed load, so they unit-test without threads, and swapping the
 //! policy never touches the resharding machinery in
-//! [`crate::elastic`].
+//! [`ShardedPipeline::rescale`].
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use salsa_metrics::LoadGauges;
 
-use crate::elastic::ElasticPipeline;
+use crate::sharded::ShardedPipeline;
 use crate::SnapshotSummary;
 
 /// One observation of the pipeline's load, produced by
@@ -57,7 +57,7 @@ impl LoadSnapshot {
     }
 }
 
-/// Samples an [`ElasticPipeline`]'s load and publishes it to shared
+/// Samples a [`ShardedPipeline`]'s load and publishes it to shared
 /// [`LoadGauges`].
 ///
 /// Sampling is producer-side and lock-free (it reads the workers' published
@@ -101,7 +101,10 @@ impl LoadMonitor {
     }
 
     /// Takes one load sample and publishes it to the gauges.
-    pub fn sample<S: SnapshotSummary>(&mut self, pipeline: &ElasticPipeline<S>) -> LoadSnapshot {
+    pub fn sample<S: SnapshotSummary>(
+        &mut self,
+        pipeline: &ShardedPipeline<'_, S>,
+    ) -> LoadSnapshot {
         let now = Instant::now();
         let loads = pipeline.shard_loads();
         let pushed = pipeline.pushed();

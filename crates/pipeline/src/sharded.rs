@@ -1,10 +1,10 @@
-//! The sharded ingestion pipeline: worker threads, batching, snapshots, and
-//! the merged global view.
+//! The sharded ingestion pipeline: worker threads, batching, snapshots,
+//! rescaling, and the merged global view.
 //!
-//! One `std::thread` per shard owns that shard's summary for the pipeline's
-//! whole lifetime — summaries are never shared or locked, so the hot path has
-//! no synchronization beyond the bounded command channel.  Each worker drains
-//! a stream of commands:
+//! One `std::thread` per shard owns that shard's summary for the worker's
+//! whole lifetime — summaries are never shared or locked, so the hot path
+//! has no synchronization beyond the bounded command channel.  Each worker
+//! drains a stream of commands:
 //!
 //! * `Ingest(batch)` — apply a batch through [`StreamSummary::ingest`](crate::StreamSummary::ingest) (the
 //!   hot path);
@@ -23,6 +23,19 @@
 //! land on a well-defined global epoch, and what keeps concurrent
 //! [`LiveHandle`] snapshot epochs monotone.
 //!
+//! **Rescaling.**  The shard count is a runtime quantity — SALSA's
+//! self-adjustment applied to the pipeline layer.  At any moment one worker
+//! set ingests; it is *generation `g`*.  [`ShardedPipeline::rescale`]
+//! drains and stops it, folds its shard summaries counter-wise into the
+//! immutable **sealed** union of all earlier generations (Section V
+//! mergeability), and starts generation `g + 1` from empty summaries with
+//! the new shard count and by-key routing over that count.  A view is
+//! always `sealed ⊎ live`: for sum-merge rows the counter-wise union over
+//! *any* split of the stream equals the unsharded sketch, so views and the
+//! final merged summary are byte-identical to a run that never rescaled.
+//! *When* to rescale is decoupled from this mechanism: see
+//! [`crate::policy`] and [`ShardedPipeline::autoscale`].
+//!
 //! **Fault tolerance.**  Every worker loop runs inside `catch_unwind`: a
 //! panicking summary kills that worker only, and the thread's last act
 //! before its channel disconnects is to publish the death into the shared
@@ -30,9 +43,9 @@
 //! [`SupervisorConfig`]'s [`Recovery`] policy — degrade (keep serving from
 //! the survivors, with coverage metadata on every view and typed
 //! [`PipelineError`]s on the single-shard paths) or restart the shard with
-//! an empty sketch.  Snapshot and drain replies wait at most a configured
-//! deadline; dispatch under backpressure can be bounded too.  A
-//! [`FaultPlan`] threaded through
+//! an empty sketch from the pipeline's factory.  Snapshot and drain replies
+//! wait at most a configured deadline; dispatch under backpressure can be
+//! bounded too.  A [`FaultPlan`] threaded through
 //! [`SupervisorConfig::chaos`] scripts these failures deterministically for
 //! the chaos tests and benches.
 
@@ -46,10 +59,12 @@ use crate::sync::{Arc, RwLock};
 
 use salsa_hash::BobHash;
 use salsa_metrics::HealthCounters;
+use salsa_sketches::helper::MergeHelper;
 
 use crate::chaos::{FaultKind, FaultPlan, INJECTED_PANIC};
 use crate::error::PipelineError;
-use crate::live::{LiveHandle, SenderDirectory};
+use crate::live::{LiveHandle, Published, WorkerSet};
+use crate::policy::{LoadMonitor, ScalingPolicy};
 use crate::snapshot::SnapshotView;
 use crate::supervisor::{Recovery, ShardHealth, ShardState, SupervisorConfig};
 use crate::{Partition, PipelineConfig, SnapshotSummary};
@@ -61,15 +76,12 @@ use crate::{Partition, PipelineConfig, SnapshotSummary};
 const CHANNEL_DEPTH: usize = 4;
 
 /// Progress counters a worker publishes after every applied batch, read
-/// lock-free by [`LiveHandle`] (staleness accounting) and by the elastic
-/// control plane's load monitor (queue depth and utilization sampling).
+/// lock-free by [`LiveHandle`] (epochs and staleness accounting) and by the
+/// load monitor (queue depth and utilization sampling).
 ///
-/// `applied` and `busy_nanos` are cumulative across worker incarnations: a
-/// restarted worker publishes `base + incarnation`, so both stay monotone
-/// over a restart (model-checked in `tests/loom_supervision.rs`).  `lost`
-/// is written by the producer when it detects a death: the acknowledged
-/// items of every dead incarnation, i.e. the part of `applied` that no
-/// live sketch covers any more.
+/// Both are cumulative across worker incarnations: a restarted worker
+/// publishes `base + incarnation`, so both stay monotone over a restart
+/// (model-checked in `tests/loom_supervision.rs`).
 #[derive(Debug, Default)]
 pub(crate) struct ShardProgress {
     /// Items applied on this shard, across all worker incarnations.
@@ -77,8 +89,6 @@ pub(crate) struct ShardProgress {
     /// Cumulative wall-clock nanoseconds this shard's workers have spent
     /// inside `ingest` — busy time, excluding channel waits.
     pub(crate) busy_nanos: AtomicU64,
-    /// Items applied by since-dead incarnations (uncovered by any view).
-    pub(crate) lost: AtomicU64,
 }
 
 /// A point-in-time load reading for one shard, taken producer-side without
@@ -126,6 +136,9 @@ pub(crate) enum Command<S> {
 pub(crate) struct ShardSnapshot<S> {
     pub(crate) sketch: S,
     pub(crate) stats: ShardStats,
+    /// Items applied by this shard's earlier, dead incarnations: counted in
+    /// a view's epoch, but not covered by `sketch`.
+    pub(crate) applied_base: u64,
 }
 
 /// What a worker thread hands back when it stops cleanly.  A panicked
@@ -286,6 +299,7 @@ fn worker_loop<S: SnapshotSummary>(
                 let _ = reply.send(ShardSnapshot {
                     sketch: clone,
                     stats,
+                    applied_base,
                 });
             }
             Command::Drain(ack) => {
@@ -321,28 +335,49 @@ pub struct ShardStats {
     pub snapshot_secs: f64,
 }
 
+/// One completed rescale, as returned by [`ShardedPipeline::rescale`] and
+/// listed in [`PipelineOutput::events`].
+#[derive(Debug, Clone, Copy)]
+pub struct RescaleEvent {
+    /// The generation that started serving after this rescale.
+    pub generation: u64,
+    /// Global epoch (items pushed) at which the rescale happened.
+    pub epoch: u64,
+    /// Shard count before.
+    pub from_shards: usize,
+    /// Shard count after.
+    pub to_shards: usize,
+    /// Drain-and-seal duration — how long ingestion (and queries) paused.
+    pub pause: Duration,
+}
+
 /// The result of a finished pipeline run: the merged global sketch plus
-/// per-shard statistics — and, after worker deaths, the gap between what
-/// was pushed and what `merged` covers.
+/// per-shard statistics and the rescale history — and, after worker
+/// deaths, the gap between what was pushed and what `merged` covers.
 #[derive(Debug)]
 pub struct PipelineOutput<S> {
-    /// The counter-wise union of every surviving shard's sketch — the
-    /// queryable global view of the (covered part of the) stream.
+    /// The counter-wise union of every generation's surviving shard
+    /// sketches — the queryable global view of the (covered part of the)
+    /// stream.
     pub merged: S,
-    /// Per-shard ingestion statistics, indexed by shard.  A failed shard's
-    /// entry is synthesized from its published progress counters (items and
-    /// busy time only).
+    /// Per-shard ingestion statistics of the last generation, indexed by
+    /// shard.  A failed shard's entry is synthesized from its published
+    /// progress counters (items and busy time only).
     pub shards: Vec<ShardStats>,
-    /// Total items pushed through the pipeline.
+    /// Total items pushed through the pipeline, across all generations.
     pub items: u64,
-    /// Shards whose worker died and was not restarted; they contribute
-    /// nothing to `merged`.  Empty for a healthy run.
+    /// Shards of the last generation whose worker died and was not
+    /// restarted; they contribute nothing to `merged`.  Empty for a
+    /// healthy run.
     pub failed_shards: Vec<usize>,
-    /// Items pushed but missing from `merged`: dropped on the ingest path
-    /// (their shard was down or a bounded dispatch timed out, including
-    /// batches in flight when a worker died) or applied by a worker
-    /// incarnation that later died.  `0` for a healthy run.
+    /// Items pushed but missing from `merged`, across all generations:
+    /// dropped on the ingest path (their shard was down or a bounded
+    /// dispatch timed out, including batches in flight when a worker died)
+    /// or applied by a worker incarnation that later died.  `0` for a
+    /// healthy run.
     pub lost_items: u64,
+    /// Every rescale that happened, in order.
+    pub events: Vec<RescaleEvent>,
 }
 
 impl<S> PipelineOutput<S> {
@@ -372,6 +407,46 @@ impl<S> PipelineOutput<S> {
     pub fn is_degraded(&self) -> bool {
         self.lost_items > 0 || !self.failed_shards.is_empty()
     }
+
+    /// Number of rescales the run went through.
+    pub fn rescales(&self) -> usize {
+        self.events.len()
+    }
+
+    /// The longest rescale pause, in seconds (`0.0` if no rescale
+    /// happened).
+    pub fn max_pause_secs(&self) -> f64 {
+        self.events
+            .iter()
+            .map(|e| e.pause.as_secs_f64())
+            .fold(0.0, f64::max)
+    }
+
+    /// Mean rescale pause, in seconds (`0.0` if no rescale happened).
+    pub fn mean_pause_secs(&self) -> f64 {
+        if self.events.is_empty() {
+            return 0.0;
+        }
+        self.events
+            .iter()
+            .map(|e| e.pause.as_secs_f64())
+            .sum::<f64>()
+            / self.events.len() as f64
+    }
+}
+
+/// What stopping one generation's workers leaves behind (see
+/// [`ShardedPipeline::stop_generation`]).
+struct StoppedGeneration<S> {
+    /// Union of the cleanly stopped shards' summaries; `None` when every
+    /// worker had died.
+    merged: Option<S>,
+    shards: Vec<ShardStats>,
+    failed_shards: Vec<usize>,
+    /// Items any of the generation's workers applied, covered or not.
+    acknowledged: u64,
+    /// The part of `acknowledged` that `merged` covers.
+    covered: u64,
 }
 
 /// Outcome of one bounded channel send (see
@@ -382,46 +457,75 @@ enum SendOutcome<S> {
     Disconnected(Command<S>),
 }
 
-/// A sharded, batched ingestion pipeline over any [`SnapshotSummary`].
+/// A sharded, batched ingestion pipeline over any [`SnapshotSummary`],
+/// whose shard count can change while it ingests.
 ///
 /// Build one with [`ShardedPipeline::new`] (or
 /// [`ShardedPipeline::supervised`] for an explicit fault-tolerance
 /// configuration), feed it with [`ShardedPipeline::push`] /
 /// [`ShardedPipeline::extend`], query it *while it runs* via
 /// [`ShardedPipeline::snapshot`] or a cloned-off
-/// [`ShardedPipeline::live_handle`], and call [`ShardedPipeline::finish`]
-/// to obtain the merged global view.  See the crate docs for the
-/// partitioning modes and their exactness guarantees.
-pub struct ShardedPipeline<S: SnapshotSummary> {
-    partition: Partition,
-    batch_size: usize,
+/// [`ShardedPipeline::live_handle`], change its shard count with
+/// [`ShardedPipeline::rescale`] (or [`ShardedPipeline::autoscale`]), and
+/// call [`ShardedPipeline::finish`] to obtain the merged global view.  See
+/// the crate docs for the partitioning modes and their exactness
+/// guarantees.
+///
+/// The pipeline keeps its summary factory for its whole life (rescales and
+/// restarts draw from it), so `'f` is the lifetime of whatever the factory
+/// borrows.
+pub struct ShardedPipeline<'f, S: SnapshotSummary> {
+    config: PipelineConfig,
     router: BobHash,
     buffers: Vec<Vec<u64>>,
     workers: Vec<Worker<S>>,
-    /// The senders as live handles see them: shared so a restarted shard's
-    /// fresh channel reaches handles cloned off before the restart.  The
-    /// producer's own hot path uses `workers[..].tx` directly (no lock).
-    directory: SenderDirectory<S>,
     progress: Vec<Arc<ShardProgress>>,
     dispatched: Vec<u64>,
+    /// Per shard, the applied items of dead incarnations already counted
+    /// into `lost_items`, so repeated detection of one death adds nothing.
+    settled: Vec<u64>,
     next_shard: usize,
     pushed: u64,
     supervisor: SupervisorConfig,
     health: Arc<ShardHealth>,
-    /// Present only on `supervised` pipelines: the sketch factory, kept so
-    /// [`Recovery::Restart`] can respawn a dead shard with an empty sketch.
-    factory: Option<Box<dyn FnMut(usize) -> S + Send>>,
+    /// Builds every shard summary: each generation's, and each restart's.
+    factory: Box<dyn FnMut(usize) -> S + Send + 'f>,
     lost_items: u64,
+    /// What every [`LiveHandle`] resolves its queries against: republished
+    /// on each restart, rescale and finish.
+    published: Arc<RwLock<Published<S>>>,
+    events: Vec<RescaleEvent>,
+    /// Reusable merge scratch for the producer-side sealing folds.
+    helper: MergeHelper,
 }
 
-impl<S: SnapshotSummary> ShardedPipeline<S> {
+impl<S: SnapshotSummary> Drop for ShardedPipeline<'_, S> {
+    /// Darkens outstanding handles if the pipeline is dropped without
+    /// [`ShardedPipeline::finish`]: the workers exit once their channels
+    /// close, and without this a concurrent [`LiveHandle::snapshot`] would
+    /// retry against them until its deadline instead of returning `None`.
+    /// The live generation's applied items are folded into the sealed
+    /// count first, so [`LiveHandle::acknowledged`] never moves backwards.
+    /// (After [`ShardedPipeline::finish`] this is a no-op.)
+    fn drop(&mut self) {
+        // A poisoned lock is left alone: Drop must not panic.
+        if let Ok(mut published) = self.published.write() {
+            if let Some(live) = published.live.take() {
+                published.sealed_acknowledged += live.acknowledged();
+            }
+        }
+    }
+}
+
+impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// Creates the pipeline and spawns one worker thread per shard.
     ///
     /// `factory` is called once per shard (with the shard index) to build
-    /// that shard's summary.  Every call **must** use the same seed and
-    /// dimensions — the pipeline cannot check this generically, but
-    /// [`StreamSummary::merge_from`](crate::StreamSummary::merge_from) enforces it when
-    /// [`ShardedPipeline::finish`] folds the shards together.
+    /// that shard's summary — again for every generation a rescale starts
+    /// and for every restarted shard.  Every call **must** use the same
+    /// seed and dimensions — the pipeline cannot check this generically,
+    /// but [`StreamSummary::merge_from`](crate::StreamSummary::merge_from)
+    /// enforces it when shard summaries are folded together.
     ///
     /// The pipeline is supervised under [`SupervisorConfig::default`]:
     /// worker panics degrade rather than poison, but nothing restarts.
@@ -429,18 +533,16 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     /// # Panics
     ///
     /// Panics if `config.shards == 0` or `config.batch_size == 0`.
-    pub fn new(config: &PipelineConfig, mut factory: impl FnMut(usize) -> S) -> Self {
-        Self::build(config, SupervisorConfig::default(), &mut factory)
+    pub fn new(config: &PipelineConfig, factory: impl FnMut(usize) -> S + Send + 'f) -> Self {
+        Self::supervised(config, SupervisorConfig::default(), factory)
     }
 
-    /// Creates the pipeline with an explicit fault-tolerance configuration.
-    ///
-    /// Unlike [`ShardedPipeline::new`], the factory must be `Send +
-    /// 'static`: it is kept for the pipeline's lifetime so
-    /// [`Recovery::Restart`] can respawn a dead shard with a fresh, empty
-    /// sketch (the dead incarnation's items are counted as lost — see
-    /// [`ShardedPipeline::lost_items`] and the coverage metadata on every
-    /// [`SnapshotView`]).
+    /// Creates the pipeline with an explicit fault-tolerance configuration,
+    /// applied to every generation's workers.  Under
+    /// [`Recovery::Restart`] a dead shard respawns with a fresh, empty
+    /// sketch from `factory` (the dead incarnation's items are counted as
+    /// lost — see [`ShardedPipeline::lost_items`] and the coverage metadata
+    /// on every [`SnapshotView`]).
     ///
     /// # Panics
     ///
@@ -448,80 +550,120 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     pub fn supervised(
         config: &PipelineConfig,
         supervisor: SupervisorConfig,
-        factory: impl FnMut(usize) -> S + Send + 'static,
-    ) -> Self {
-        let mut factory: Box<dyn FnMut(usize) -> S + Send> = Box::new(factory);
-        let mut pipeline = Self::build(config, supervisor, &mut *factory);
-        pipeline.factory = Some(factory);
-        pipeline
-    }
-
-    /// Shared constructor: `new`/`supervised` and the elastic control plane
-    /// (which keeps the factory itself, re-invoking it per generation)
-    /// build through here.  Restart recovery needs the stored factory, so
-    /// pipelines built this way support it only via `supervised`.
-    pub(crate) fn build(
-        config: &PipelineConfig,
-        supervisor: SupervisorConfig,
-        factory: &mut dyn FnMut(usize) -> S,
+        factory: impl FnMut(usize) -> S + Send + 'f,
     ) -> Self {
         assert!(config.shards > 0, "a pipeline needs at least one shard");
         assert!(config.batch_size > 0, "batch size must be positive");
-        let health = Arc::new(ShardHealth::new(config.shards));
-        let mut progress = Vec::with_capacity(config.shards);
-        let workers = (0..config.shards)
-            .map(|shard| {
-                let sketch = factory(shard);
-                let shard_progress = Arc::new(ShardProgress::default());
-                progress.push(Arc::clone(&shard_progress));
-                spawn_worker(
-                    WorkerSeat {
-                        shard,
-                        progress: shard_progress,
-                        health: Arc::clone(&health),
-                        counters: Arc::clone(&supervisor.counters),
-                        chaos: supervisor.chaos.clone(),
-                        applied_base: 0,
-                        busy_nanos_base: 0,
-                    },
-                    sketch,
-                )
-            })
-            .collect::<Vec<Worker<S>>>();
-        let directory = Arc::new(RwLock::new(
-            workers.iter().map(|w| w.tx.clone()).collect::<Vec<_>>(),
-        ));
-        Self {
-            partition: config.partition,
-            batch_size: config.batch_size,
+        let mut pipeline = Self {
+            config: *config,
             router: BobHash::new(config.router_seed),
-            buffers: vec![Vec::with_capacity(config.batch_size); config.shards],
-            workers,
-            directory,
-            progress,
-            dispatched: vec![0; config.shards],
+            buffers: Vec::new(),
+            workers: Vec::new(),
+            progress: Vec::new(),
+            dispatched: Vec::new(),
+            settled: Vec::new(),
             next_shard: 0,
             pushed: 0,
             supervisor,
-            health,
-            factory: None,
+            health: Arc::new(ShardHealth::new(0)),
+            factory: Box::new(factory),
             lost_items: 0,
+            published: Arc::new(RwLock::new(Published {
+                generation: 0,
+                live: None,
+                sealed: None,
+                sealed_acknowledged: 0,
+                sealed_uncovered: 0,
+            })),
+            events: Vec::new(),
+            helper: MergeHelper::new(),
+        };
+        pipeline.start_generation(config.shards);
+        let live = pipeline.worker_set();
+        pipeline.publish(|published| published.live = Some(live));
+        pipeline
+    }
+
+    /// Spawns a fresh worker set of `shards` workers from the factory and
+    /// makes it the one the producer feeds.  Publishing it to handles is
+    /// the caller's job.
+    fn start_generation(&mut self, shards: usize) {
+        self.config.shards = shards;
+        self.health = Arc::new(ShardHealth::new(shards));
+        self.progress = (0..shards).map(|_| Arc::default()).collect();
+        self.workers = Vec::with_capacity(shards);
+        for shard in 0..shards {
+            let sketch = (self.factory)(shard);
+            self.workers
+                .push(spawn_worker(self.seat(shard, 0, 0), sketch));
+        }
+        self.buffers = vec![Vec::with_capacity(self.config.batch_size); shards];
+        self.dispatched = vec![0; shards];
+        self.settled = vec![0; shards];
+        self.next_shard = 0;
+    }
+
+    fn seat(&self, shard: usize, applied_base: u64, busy_nanos_base: u64) -> WorkerSeat {
+        WorkerSeat {
+            shard,
+            progress: Arc::clone(&self.progress[shard]),
+            health: Arc::clone(&self.health),
+            counters: Arc::clone(&self.supervisor.counters),
+            chaos: self.supervisor.chaos.clone(),
+            applied_base,
+            busy_nanos_base,
         }
     }
 
-    /// Number of worker shards.
+    /// The live workers as handles see them.
+    fn worker_set(&self) -> Arc<WorkerSet<S>> {
+        Arc::new(WorkerSet {
+            senders: self.workers.iter().map(|w| w.tx.clone()).collect(),
+            progress: self.progress.clone(),
+            health: Arc::clone(&self.health),
+        })
+    }
+
+    /// Updates the state every handle resolves its queries against.
+    fn publish<R>(&self, update: impl FnOnce(&mut Published<S>) -> R) -> R {
+        let mut published = self
+            .published
+            .write()
+            // PANIC-OK: no user code runs under the state lock (the sealing
+            // folds happen before it is taken), so poisoning is
+            // unreachable.
+            .expect("pipeline state lock poisoned");
+        update(&mut published)
+    }
+
+    /// Current number of worker shards.
     #[inline]
     pub fn shards(&self) -> usize {
         self.workers.len()
     }
 
-    /// Items pushed so far (buffered or dispatched).
+    /// Index of the live generation (number of completed rescales).
+    #[inline]
+    pub fn generation(&self) -> u64 {
+        self.events.len() as u64
+    }
+
+    /// Items pushed so far, across all generations (buffered or
+    /// dispatched).
     #[inline]
     pub fn pushed(&self) -> u64 {
         self.pushed
     }
 
-    /// The shared per-shard health board (see [`ShardHealth`]).
+    /// Items applied by workers so far, across all generations and worker
+    /// incarnations — covered or not (see [`LiveHandle::acknowledged`]).
+    pub fn acknowledged(&self) -> u64 {
+        self.publish(|published| published.acknowledged())
+    }
+
+    /// The live generation's per-shard health board (see [`ShardHealth`]).
+    /// A rescale replaces the board along with the workers, so don't cache
+    /// the reference across one.
     #[inline]
     pub fn health(&self) -> &Arc<ShardHealth> {
         &self.health
@@ -545,10 +687,10 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     ///
     /// For [`Partition::RoundRobin`] this is the shard the *next* pushed
     /// item would go to; for [`Partition::ByKey`] it is a pure function of
-    /// the key.
+    /// the key and the current shard count.
     #[inline]
     pub fn shard_of(&self, item: u64) -> usize {
-        match self.partition {
+        match self.config.partition {
             Partition::ByKey => (self.router.hash_u64(item) % self.workers.len() as u64) as usize,
             Partition::RoundRobin => self.next_shard,
         }
@@ -575,14 +717,14 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     #[inline]
     pub fn try_push(&mut self, item: u64) -> Result<(), PipelineError> {
         let shard = self.shard_of(item);
-        if self.partition == Partition::RoundRobin {
+        if self.config.partition == Partition::RoundRobin {
             self.next_shard = (self.next_shard + 1) % self.workers.len();
         }
         self.pushed += 1;
         let buffer = &mut self.buffers[shard];
         buffer.push(item);
-        if buffer.len() >= self.batch_size {
-            let batch = std::mem::replace(buffer, Vec::with_capacity(self.batch_size));
+        if buffer.len() >= self.config.batch_size {
+            let batch = std::mem::replace(buffer, Vec::with_capacity(self.config.batch_size));
             return self.dispatch(shard, batch);
         }
         Ok(())
@@ -691,27 +833,24 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
 
     /// Accounts a detected worker death: batches in flight (dispatched but
     /// never applied) and the dead incarnation's applied items both become
-    /// lost.  Idempotent — `ShardProgress::lost` doubles as the
-    /// already-counted marker, so repeated detection adds nothing.
+    /// lost.  Idempotent — `settled` marks what is already counted.
     fn note_shard_down(&mut self, shard: usize) {
         let applied = self.progress[shard].applied.load(Ordering::Acquire);
-        let counted = self.progress[shard].lost.load(Ordering::Acquire);
         let in_flight = self.dispatched[shard].saturating_sub(applied);
         self.dispatched[shard] = applied;
-        let newly = applied.saturating_sub(counted);
-        let lost = in_flight + newly;
+        let lost = in_flight + applied.saturating_sub(self.settled[shard]);
+        self.settled[shard] = applied;
         if lost > 0 {
             self.lost_items += lost;
             self.supervisor.counters.dropped_items.add(lost);
         }
-        if newly > 0 {
-            self.progress[shard].lost.store(applied, Ordering::Release);
-        }
     }
 
     /// Respawns `shard`'s worker with an empty sketch when the recovery
-    /// policy allows it.  The new incarnation publishes progress on top of
-    /// the dead one's counts, so `applied` stays monotone for readers.
+    /// policy allows it, and republishes the worker set so live handles
+    /// reach the new incarnation.  The new incarnation publishes progress
+    /// on top of the dead one's counts, so `applied` stays monotone for
+    /// readers.
     fn try_restart(&mut self, shard: usize) -> bool {
         let Recovery::Restart { max_restarts } = self.supervisor.recovery else {
             return false;
@@ -719,33 +858,12 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
         if self.health.restarts(shard) >= max_restarts {
             return false;
         }
-        let Some(factory) = self.factory.as_mut() else {
-            return false;
-        };
-        let sketch = factory(shard);
+        let sketch = (self.factory)(shard);
         let applied = self.progress[shard].applied.load(Ordering::Acquire);
         let busy = self.progress[shard].busy_nanos.load(Ordering::Acquire);
-        self.workers[shard] = spawn_worker(
-            WorkerSeat {
-                shard,
-                progress: Arc::clone(&self.progress[shard]),
-                health: Arc::clone(&self.health),
-                counters: Arc::clone(&self.supervisor.counters),
-                chaos: self.supervisor.chaos.clone(),
-                applied_base: applied,
-                busy_nanos_base: busy,
-            },
-            sketch,
-        );
-        // Re-point live handles at the new incarnation's channel.
-        let mut directory = self
-            .directory
-            .write()
-            // PANIC-OK: no user code runs under the directory lock, so
-            // poisoning is unreachable.
-            .expect("sender directory lock poisoned");
-        directory[shard] = self.workers[shard].tx.clone();
-        drop(directory);
+        self.workers[shard] = spawn_worker(self.seat(shard, applied, busy), sketch);
+        let live = self.worker_set();
+        self.publish(|published| published.live = Some(live));
         self.health.record_restart(shard);
         self.health.mark(shard, ShardState::Up);
         self.supervisor.counters.worker_restarts.incr();
@@ -776,11 +894,11 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
         self.buffers.iter().map(|b| b.len() as u64).sum()
     }
 
-    /// A producer-side load reading per shard: items dispatched, items
-    /// applied, and cumulative busy time — taken from the workers' published
-    /// progress counters without sending them any command, so sampling is
-    /// free for the ingest path.  This is the raw signal behind the elastic
-    /// control plane's [`LoadMonitor`](crate::policy::LoadMonitor).
+    /// A producer-side load reading per shard of the live generation:
+    /// items dispatched, items applied, and cumulative busy time — taken
+    /// from the workers' published progress counters without sending them
+    /// any command, so sampling is free for the ingest path.  This is the
+    /// raw signal behind [`LoadMonitor`].
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.progress
             .iter()
@@ -794,36 +912,35 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     }
 
     /// Returns a clonable, `Send` handle that can snapshot and query this
-    /// pipeline from other threads while ingestion continues.
+    /// pipeline from other threads while ingestion continues — across
+    /// restarts and rescales.
     ///
     /// Handles stay valid until [`ShardedPipeline::finish`] shuts the
-    /// workers down, after which their queries return `None`; while shard
-    /// workers are dead, their views degrade (see
-    /// [`LiveHandle::try_snapshot`]).
+    /// workers down (or the pipeline is dropped), after which their queries
+    /// return `None`; while shard workers are dead, their views degrade
+    /// (see [`LiveHandle::try_snapshot`]).
     pub fn live_handle(&self) -> LiveHandle<S> {
         LiveHandle::new(
-            Arc::clone(&self.directory),
-            self.progress.clone(),
-            self.partition,
+            Arc::clone(&self.published),
+            self.config.partition,
             self.router,
-            Arc::clone(&self.health),
-            Arc::clone(&self.supervisor.counters),
-            self.supervisor.snapshot_timeout,
+            &self.supervisor,
         )
     }
 
     /// Takes a consistent point-in-time snapshot of the whole pipeline
     /// *without stopping it*: flushes the producer-side buffers, then merges
-    /// a clone of every shard's sketch.
+    /// a clone of every live shard's sketch with the sealed generations.
     ///
     /// Because flushing dispatches everything pushed so far and each shard's
     /// channel is FIFO, the returned view sits at **epoch
     /// [`ShardedPipeline::pushed`]** while the pipeline is healthy: for
     /// sum-merge rows its estimates are identical to an unsharded sketch
     /// over exactly the items pushed so far.  With dead shards the view is
-    /// degraded — it covers the survivors and its epoch counts only covered
-    /// items; the gap is named in [`SnapshotView::coverage`].  Ingestion
-    /// resumes (or rather, never stopped) after the call.
+    /// degraded — it covers the survivors, its epoch still counts every
+    /// acknowledged item, and [`SnapshotView::coverage`] names the part it
+    /// does not cover.  Ingestion resumes (or rather, never stopped) after
+    /// the call.
     ///
     /// # Panics
     ///
@@ -907,8 +1024,125 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
         Ok(self.pushed)
     }
 
+    /// Changes the worker-shard count to `target_shards` (clamped to at
+    /// least 1), sealing the live generation and starting a fresh one.
+    ///
+    /// Returns `None` (and does nothing) when the pipeline already runs
+    /// `target_shards` shards.  Otherwise the call:
+    ///
+    /// 1. drains and stops the old workers, folding their summaries into
+    ///    the sealed union — the *pause window*, during which concurrent
+    ///    [`LiveHandle`] queries keep the old generation's answers and
+    ///    then retry against the new one,
+    /// 2. spawns the new generation's workers from the factory,
+    /// 3. atomically publishes the sealed union, the sealed generation's
+    ///    acknowledged and uncovered counts, and the new workers to every
+    ///    handle — so coverage gaps and epochs carry over the boundary.
+    ///
+    /// Exactness is unaffected: for sum-merge rows the final merged view
+    /// is identical to a run that never rescaled.
+    pub fn rescale(&mut self, target_shards: usize) -> Option<RescaleEvent> {
+        let to_shards = target_shards.max(1);
+        let from_shards = self.shards();
+        if to_shards == from_shards {
+            return None;
+        }
+        let pause_started = Instant::now();
+        let old = self.stop_generation();
+        self.start_generation(to_shards);
+        // The producer is the only writer, so the union it folds into
+        // cannot change before the publish below.
+        let union = self.publish(|published| published.sealed.clone());
+        let sealed = match (old.merged, union) {
+            (Some(mut sealing), Some(union)) => {
+                sealing.merge_with_helper(&union, &mut self.helper);
+                Some(Arc::new(sealing))
+            }
+            (sealing, union) => sealing.map(Arc::new).or(union),
+        };
+        let live = self.worker_set();
+        self.publish(|published| {
+            published.sealed = sealed;
+            published.sealed_acknowledged += old.acknowledged;
+            published.sealed_uncovered += old.acknowledged - old.covered;
+            published.generation += 1;
+            published.live = Some(live);
+        });
+        let event = RescaleEvent {
+            generation: self.generation() + 1,
+            epoch: self.pushed,
+            from_shards,
+            to_shards,
+            pause: pause_started.elapsed(),
+        };
+        self.events.push(event);
+        Some(event)
+    }
+
+    /// Samples the current load through `monitor`, asks `policy` for a
+    /// target shard count, and rescales if it differs from the current one
+    /// — one tick of the closed control loop.  Call it periodically from
+    /// the ingest thread (e.g. every few thousand pushes).
+    pub fn autoscale<P: ScalingPolicy + ?Sized>(
+        &mut self,
+        monitor: &mut LoadMonitor,
+        policy: &mut P,
+    ) -> Option<RescaleEvent> {
+        let load = monitor.sample(self);
+        let target = policy.decide(&load)?;
+        self.rescale(target)
+    }
+
+    /// Ends the live generation: flushes, stops and joins its workers,
+    /// settles the books of the dead ones, and merges the survivors.
+    fn stop_generation(&mut self) -> StoppedGeneration<S> {
+        self.flush();
+        let workers = std::mem::take(&mut self.workers);
+        let mut stopped = StoppedGeneration {
+            merged: None,
+            shards: Vec::with_capacity(workers.len()),
+            failed_shards: Vec::new(),
+            acknowledged: 0,
+            covered: 0,
+        };
+        for (shard, worker) in workers.into_iter().enumerate() {
+            // An explicit stop (rather than relying on channel closure)
+            // lets outstanding live handles keep their senders: their next
+            // send simply fails once the worker has exited.  A send error
+            // here means the worker is already dead; the join tells us how.
+            let _ = worker.tx.send(Command::Stop);
+            drop(worker.tx);
+            let report = worker.handle.join().unwrap_or(None);
+            let applied = self.progress[shard].applied.load(Ordering::Acquire);
+            stopped.acknowledged += applied;
+            match report {
+                Some(report) => {
+                    stopped.covered += report.stats.items;
+                    stopped.shards.push(report.stats);
+                    match stopped.merged.as_mut() {
+                        None => stopped.merged = Some(report.sketch),
+                        Some(m) => m.merge_from(&report.sketch),
+                    }
+                }
+                None => {
+                    self.note_shard_down(shard);
+                    stopped.failed_shards.push(shard);
+                    // Synthesize what the published counters still know.
+                    stopped.shards.push(ShardStats {
+                        items: applied,
+                        busy_secs: self.progress[shard].busy_nanos.load(Ordering::Acquire) as f64
+                            / 1e9,
+                        ..ShardStats::default()
+                    });
+                }
+            }
+        }
+        stopped
+    }
+
     /// Flushes remaining buffers, shuts the workers down, and merges every
-    /// shard's sketch into the global view.
+    /// shard's sketch — and every sealed generation — into the global
+    /// view.
     ///
     /// Outstanding [`LiveHandle`]s remain safe to use: their queries return
     /// `None` once the workers have stopped.
@@ -919,8 +1153,8 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     ///
     /// # Panics
     ///
-    /// Panics if *every* worker died, or if the shard summaries were built
-    /// with mismatched seeds/shapes (see
+    /// Panics if *every* worker died and no generation was sealed, or if
+    /// the shard summaries were built with mismatched seeds/shapes (see
     /// [`StreamSummary::merge_from`](crate::StreamSummary::merge_from)).
     /// Use [`ShardedPipeline::try_finish`] to handle total failure as a
     /// typed error.
@@ -933,58 +1167,34 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     }
 
     /// Like [`ShardedPipeline::finish`], but total failure (every worker
-    /// dead) surfaces as [`PipelineError::AllShardsDown`] instead of a
-    /// panic.  Partial failure still returns `Ok` — check
-    /// [`PipelineOutput::is_degraded`].
+    /// dead and nothing sealed) surfaces as
+    /// [`PipelineError::AllShardsDown`] instead of a panic.  Partial
+    /// failure still returns `Ok` — check [`PipelineOutput::is_degraded`].
     pub fn try_finish(mut self) -> Result<PipelineOutput<S>, PipelineError> {
-        self.flush();
-        let workers: Vec<Worker<S>> = self.workers.drain(..).collect();
-        let mut reports: Vec<Option<WorkerReport<S>>> = Vec::with_capacity(workers.len());
-        for worker in workers {
-            // An explicit stop (rather than relying on channel closure)
-            // lets outstanding live handles keep their senders: their next
-            // send simply fails once the worker has exited.  A send error
-            // here means the worker is already dead; the join tells us how.
-            let _ = worker.tx.send(Command::Stop);
-            drop(worker.tx);
-            reports.push(worker.handle.join().unwrap_or(None));
-        }
-        for (shard, report) in reports.iter().enumerate() {
-            if report.is_none() {
-                self.note_shard_down(shard);
+        let last = self.stop_generation();
+        let sealed = self.publish(|published| {
+            published.sealed_acknowledged += last.acknowledged;
+            published.sealed_uncovered += last.acknowledged - last.covered;
+            published.live = None;
+            published.sealed.take()
+        });
+        let merged = match (last.merged, sealed) {
+            (Some(mut merged), Some(sealed)) => {
+                merged.merge_with_helper(&sealed, &mut self.helper);
+                merged
             }
-        }
-        let mut failed_shards = Vec::new();
-        let mut shards = Vec::with_capacity(reports.len());
-        let mut merged: Option<S> = None;
-        for (shard, report) in reports.into_iter().enumerate() {
-            match report {
-                Some(report) => {
-                    shards.push(report.stats);
-                    match merged.as_mut() {
-                        None => merged = Some(report.sketch),
-                        Some(m) => m.merge_from(&report.sketch),
-                    }
-                }
-                None => {
-                    failed_shards.push(shard);
-                    // Synthesize what the published counters still know.
-                    shards.push(ShardStats {
-                        items: self.progress[shard].applied.load(Ordering::Acquire),
-                        busy_secs: self.progress[shard].busy_nanos.load(Ordering::Acquire) as f64
-                            / 1e9,
-                        ..ShardStats::default()
-                    });
-                }
-            }
-        }
-        let merged = merged.ok_or(PipelineError::AllShardsDown)?;
+            (Some(merged), None) => merged,
+            // Handles may still hold the union for a moment; copy it then.
+            (None, Some(sealed)) => Arc::try_unwrap(sealed).unwrap_or_else(|arc| (*arc).clone()),
+            (None, None) => return Err(PipelineError::AllShardsDown),
+        };
         Ok(PipelineOutput {
             merged,
-            shards,
+            shards: last.shards,
             items: self.pushed,
-            failed_shards,
+            failed_shards: last.failed_shards,
             lost_items: self.lost_items,
+            events: std::mem::take(&mut self.events),
         })
     }
 }
@@ -993,7 +1203,7 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
 /// and finishes it — the one-call form used by benches and examples.
 pub fn run_sharded<S: SnapshotSummary>(
     config: &PipelineConfig,
-    factory: impl FnMut(usize) -> S,
+    factory: impl FnMut(usize) -> S + Send,
     items: &[u64],
 ) -> PipelineOutput<S> {
     let mut pipeline = ShardedPipeline::new(config, factory);
@@ -1353,7 +1563,7 @@ mod tests {
         assert!(view.is_degraded());
         assert_eq!(view.shards_failed(), 1);
         assert_eq!(view.shards_ok(), 1);
-        assert_eq!(view.epoch(), 256, "the survivor covers its 256 items");
+        assert_eq!(view.epoch(), 384, "256 on the survivor + 128 acknowledged");
         assert_eq!(view.coverage().uncovered_items, 128, "acknowledged, lost");
         assert!((view.coverage_fraction() - 256.0 / 384.0).abs() < 1e-9);
         for item in (0..512u64).step_by(2) {
@@ -1401,7 +1611,11 @@ mod tests {
         let view = pipeline.snapshot();
         assert_eq!(view.shards_failed(), 0, "everything replies again");
         assert!(view.is_degraded(), "restarted-away items stay uncovered");
-        assert_eq!(view.epoch(), 896, "640 on shard 0 + 256 post-restart");
+        assert_eq!(
+            view.epoch(),
+            1_152,
+            "640 on shard 0 + 512 across incarnations"
+        );
         assert_eq!(
             view.coverage().uncovered_items,
             256,
@@ -1511,5 +1725,259 @@ mod tests {
         assert!(!out.is_degraded());
         assert_eq!(counters.worker_panics.get(), 0);
         assert_eq!(counters.dropped_items.get(), 0);
+    }
+
+    /// Keys routed to `shard` under by-key routing, in key order.
+    fn keys_of(pipeline: &ShardedPipeline<'_, impl SnapshotSummary>, shard: usize) -> Vec<u64> {
+        (0u64..)
+            .filter(|&key| pipeline.shard_of(key) == shard)
+            .take(256)
+            .collect()
+    }
+
+    #[test]
+    fn served_epochs_stay_monotone_across_a_shard_death() {
+        crate::chaos::silence_worker_panics();
+        let plan = Arc::new(FaultPlan::new().panic_shard(1, 128));
+        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
+        let config = PipelineConfig::new(2).batch_size(64);
+        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(109));
+        let handle = pipeline.live_handle();
+        let (zero, one) = (keys_of(&pipeline, 0), keys_of(&pipeline, 1));
+        pipeline.extend(&zero[..128]);
+        pipeline.extend(&one[..128]);
+        pipeline.drain();
+        let before = handle.snapshot().expect("healthy view");
+        assert_eq!(before.epoch(), 256);
+        assert!(!before.is_degraded());
+        // Shard 1's next batch crosses its trigger: it dies with 128
+        // acknowledged items, which stay in every later epoch as uncovered.
+        pipeline.extend(&one[128..]);
+        pipeline.drain();
+        assert_eq!(plan.fired(), 1);
+        let after = handle.snapshot().expect("degraded view");
+        assert!(after.epoch() >= before.epoch(), "epochs must not drop");
+        assert_eq!(after.epoch(), 256);
+        assert_eq!(after.coverage().uncovered_items, 128);
+        assert_eq!(after.shards_failed(), 1);
+        assert!((after.coverage_fraction() - 0.5).abs() < 1e-9);
+        assert_eq!(
+            handle.acknowledged() - after.epoch(),
+            0,
+            "a drained view lags nothing, dead shard or not"
+        );
+        pipeline.finish();
+    }
+
+    #[test]
+    fn finish_keeps_sealed_generations_when_every_live_worker_died() {
+        crate::chaos::silence_worker_panics();
+        // Shard 0's trigger lies past generation 0's 64 items; shard 1
+        // exists only in generation 1.  Both die there.
+        let plan = Arc::new(FaultPlan::new().panic_shard(0, 64).panic_shard(1, 0));
+        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
+        let config = PipelineConfig::new(1)
+            .partition(Partition::RoundRobin)
+            .batch_size(64);
+        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(131));
+        let items: Vec<u64> = (0..320).map(|i| i % 50).collect();
+        pipeline.extend(&items[..64]);
+        pipeline.rescale(2).expect("1 -> 2 is a real rescale");
+        pipeline.extend(&items[64..]);
+        let out = pipeline
+            .try_finish()
+            .expect("the sealed generation survives");
+        assert_eq!(plan.fired(), 2);
+        assert_eq!(out.failed_shards, vec![0, 1]);
+        assert_eq!(out.lost_items, 256, "all of generation 1");
+        let sealed = unsharded(cms(131)(0), &items[..64]);
+        for item in 0..50u64 {
+            assert_eq!(out.merged.estimate(item), sealed.estimate(item));
+        }
+    }
+
+    #[test]
+    fn coverage_gaps_survive_a_rescale() {
+        crate::chaos::silence_worker_panics();
+        let plan = Arc::new(FaultPlan::new().panic_shard(1, 128));
+        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
+        let config = PipelineConfig::new(2).batch_size(64);
+        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(127));
+        let handle = pipeline.live_handle();
+        let (zero, one) = (keys_of(&pipeline, 0), keys_of(&pipeline, 1));
+        pipeline.extend(&zero[..128]);
+        pipeline.extend(&one);
+        pipeline.drain();
+        assert_eq!(plan.fired(), 1);
+        let before = handle.snapshot().expect("degraded view");
+        assert!(before.is_degraded());
+        assert_eq!(before.epoch(), 256, "128 covered + 128 acknowledged, lost");
+        assert_eq!(before.coverage().uncovered_items, 128);
+
+        pipeline.rescale(3).expect("2 -> 3 is a real rescale");
+        let after = handle
+            .snapshot()
+            .expect("the handle serves the new generation");
+        assert_eq!(after.generation(), 1);
+        assert_eq!(after.shards_failed(), 0, "every live shard replies");
+        assert!(after.is_degraded(), "the sealed gap is still named");
+        assert_eq!(after.coverage().uncovered_items, 128);
+        assert!(after.epoch() >= before.epoch(), "epochs must not drop");
+        assert_eq!(after.epoch(), 256);
+        let dead_key = one[200];
+        assert_eq!(after.estimate(dead_key), 0, "its items died with shard 1");
+        let out = pipeline.finish();
+        assert!(out.is_degraded());
+        assert_eq!(out.lost_items, 256, "128 applied-then-lost + 128 dropped");
+        assert!(
+            out.failed_shards.is_empty(),
+            "the last generation is healthy"
+        );
+    }
+
+    // ---- rescaling ---------------------------------------------------
+
+    fn stream(n: usize, universe: u64, seed: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) % universe
+            })
+            .collect()
+    }
+
+    fn baseline(_: usize) -> CountMin<salsa_core::fixed::FixedRow> {
+        CountMin::baseline(3, 256, 32, 97)
+    }
+
+    #[test]
+    fn rescale_preserves_sum_merge_exactness() {
+        let items = stream(30_000, 500, 3);
+        let config = PipelineConfig::new(1).batch_size(64);
+        let mut pipeline = ShardedPipeline::new(&config, baseline);
+        pipeline.extend(&items[..10_000]);
+        let grown = pipeline.rescale(4).expect("1 -> 4 is a real rescale");
+        assert_eq!(grown.from_shards, 1);
+        assert_eq!(grown.to_shards, 4);
+        assert_eq!(grown.epoch, 10_000);
+        pipeline.extend(&items[10_000..20_000]);
+        let shrunk = pipeline.rescale(2).expect("4 -> 2 is a real rescale");
+        assert_eq!(shrunk.generation, 2);
+        pipeline.extend(&items[20_000..]);
+        let out = pipeline.finish();
+        assert_eq!(out.items, items.len() as u64);
+        assert_eq!(out.rescales(), 2);
+        assert_eq!(out.events.len(), 2);
+        let single = unsharded(baseline(0), &items);
+        for item in 0..500u64 {
+            assert_eq!(out.merged.estimate(item), single.estimate(item));
+        }
+    }
+
+    #[test]
+    fn rescale_to_current_count_is_a_noop() {
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), baseline);
+        pipeline.extend(&stream(1_000, 100, 5));
+        assert!(pipeline.rescale(2).is_none());
+        assert_eq!(pipeline.generation(), 0);
+        // A zero target is clamped to one shard, like the config builder.
+        let event = pipeline.rescale(0).expect("2 -> 1 is a real rescale");
+        assert_eq!(event.to_shards, 1);
+        assert_eq!(pipeline.shards(), 1);
+        pipeline.finish();
+    }
+
+    #[test]
+    fn producer_snapshot_covers_all_generations_at_pushed_epoch() {
+        let items = stream(12_000, 300, 7);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2).batch_size(128), baseline);
+        pipeline.extend(&items[..5_000]);
+        pipeline.rescale(3);
+        pipeline.extend(&items[5_000..9_000]);
+        let view = pipeline.snapshot();
+        assert_eq!(view.epoch(), 9_000);
+        assert_eq!(view.generation(), 1);
+        let prefix = unsharded(baseline(0), &items[..9_000]);
+        for item in 0..300u64 {
+            assert_eq!(view.estimate(item), prefix.estimate(item) as i64);
+        }
+        pipeline.extend(&items[9_000..]);
+        pipeline.finish();
+    }
+
+    #[test]
+    fn handle_survives_rescales_and_goes_dark_after_finish() {
+        let items = stream(8_000, 200, 9);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1).batch_size(64), baseline);
+        let handle = pipeline.live_handle();
+        pipeline.extend(&items[..4_000]);
+        let before = handle.snapshot().expect("live before rescale");
+        pipeline.rescale(3);
+        let after = handle.snapshot().expect("live after rescale");
+        assert!(after.epoch() >= before.epoch());
+        assert_eq!(after.generation(), 1);
+        assert_eq!(handle.shards(), 3);
+        pipeline.extend(&items[4_000..]);
+        let epoch = pipeline.drain();
+        assert_eq!(epoch, items.len() as u64);
+        assert_eq!(handle.acknowledged(), items.len() as u64);
+        let final_view = handle.snapshot().expect("live before finish");
+        assert_eq!(final_view.epoch(), items.len() as u64);
+        pipeline.finish();
+        assert!(handle.snapshot().is_none(), "snapshot after finish");
+        assert!(handle.estimate(1).is_none(), "estimate after finish");
+        assert_eq!(handle.shards(), 0);
+        assert_eq!(handle.acknowledged(), items.len() as u64);
+    }
+
+    #[test]
+    fn dropping_without_finish_darkens_handles() {
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2).batch_size(32), baseline);
+        pipeline.extend(&stream(2_000, 100, 13));
+        pipeline.drain();
+        let handle = pipeline.live_handle();
+        assert!(handle.snapshot().is_some());
+        let acknowledged_before = handle.acknowledged();
+        assert_eq!(acknowledged_before, 2_000);
+        drop(pipeline);
+        // Without the Drop impl this would retry against the stopped
+        // workers until the snapshot deadline.
+        assert!(handle.snapshot().is_none(), "snapshot after drop");
+        assert_eq!(handle.shards(), 0);
+        // The live generation's progress is folded into the sealed count
+        // at drop, so the acknowledged count never moves backwards.
+        assert!(handle.acknowledged() >= acknowledged_before);
+    }
+
+    #[test]
+    fn generation_history_partitions_the_stream() {
+        let items = stream(9_000, 150, 11);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2).batch_size(32), baseline);
+        pipeline.extend(&items[..3_000]);
+        pipeline.rescale(4);
+        pipeline.extend(&items[3_000..7_500]);
+        pipeline.rescale(1);
+        pipeline.extend(&items[7_500..]);
+        let out = pipeline.finish();
+        assert_eq!(out.events.len(), 2);
+        for (i, event) in out.events.iter().enumerate() {
+            assert_eq!(event.generation, i as u64 + 1);
+        }
+        assert_eq!(
+            out.events.iter().map(|e| e.epoch).collect::<Vec<_>>(),
+            vec![3_000, 7_500]
+        );
+        assert_eq!(
+            out.events
+                .iter()
+                .map(|e| (e.from_shards, e.to_shards))
+                .collect::<Vec<_>>(),
+            vec![(2, 4), (4, 1)]
+        );
+        assert_eq!(out.items, items.len() as u64);
+        assert_eq!(out.shards.len(), 1, "stats of the last generation");
+        assert_eq!(out.shards[0].items, 1_500);
+        assert!(out.max_pause_secs() >= out.mean_pause_secs());
     }
 }

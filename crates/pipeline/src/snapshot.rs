@@ -30,9 +30,10 @@ pub struct CoverageMeta {
     pub shards_ok: usize,
     /// Shards that are dead (or unreachable) and contribute nothing.
     pub shards_failed: usize,
-    /// Items that were acknowledged (applied by some worker) but are *not*
-    /// reflected in the view: applied by a shard that later died, or by a
-    /// dead incarnation of a since-restarted shard.
+    /// Items that were acknowledged (applied by some worker), and so are
+    /// counted in the view's epoch, but are *not* reflected in its summary:
+    /// applied by a shard that later died, or by a dead incarnation of a
+    /// since-restarted shard — in the live generation or a sealed one.
     pub uncovered_items: u64,
 }
 
@@ -54,13 +55,18 @@ impl CoverageMeta {
 
 /// An immutable, epoch-stamped snapshot of the pipeline's merged state.
 ///
-/// **Epoch semantics:** the epoch is the number of acknowledged updates the
-/// view reflects (the sum of the per-shard prefixes that were merged).  A
-/// view taken through [`ShardedPipeline::snapshot`] sits at epoch
-/// [`ShardedPipeline::pushed`]; for sum-merge rows its estimates then equal
-/// an unsharded sketch over exactly the first `epoch` pushed items.
-/// Successive snapshots taken through one [`LiveHandle`] have monotonically
-/// non-decreasing epochs.
+/// **Epoch semantics:** the epoch counts every update any worker had
+/// acknowledged when the view's per-shard prefixes were taken, covered or
+/// not: the sealed generations' acknowledged items plus, per live shard,
+/// the items of every worker incarnation (a dead shard counts with its
+/// final applied count).  [`CoverageMeta::uncovered_items`] names the part
+/// the view's summary does not cover.  Every term only grows, so
+/// successive snapshots taken through one [`LiveHandle`] have
+/// monotonically non-decreasing epochs across shard deaths, restarts and
+/// rescales.  A view taken through [`ShardedPipeline::snapshot`] on a
+/// healthy pipeline sits at epoch [`ShardedPipeline::pushed`]; for
+/// sum-merge rows its estimates then equal an unsharded sketch over
+/// exactly the first `epoch` pushed items.
 ///
 /// [`ShardedPipeline::snapshot`]: crate::ShardedPipeline::snapshot
 /// [`ShardedPipeline::pushed`]: crate::ShardedPipeline::pushed
@@ -78,11 +84,12 @@ pub struct SnapshotView<S> {
 
 impl<S> SnapshotView<S> {
     /// A view with explicit (possibly degraded) coverage metadata; `shards`
-    /// holds the stats of the *surviving* shards only.  A healthy assembly
-    /// passes [`CoverageMeta::full`].
+    /// holds the stats of the *surviving* live shards only.  A healthy
+    /// assembly passes [`CoverageMeta::full`].
     pub(crate) fn with_coverage(
         merged: S,
         epoch: u64,
+        generation: u64,
         coverage: CoverageMeta,
         shards: Vec<ShardStats>,
         issued: Instant,
@@ -90,7 +97,7 @@ impl<S> SnapshotView<S> {
         Self {
             merged,
             epoch,
-            generation: 0,
+            generation,
             coverage,
             shards,
             issued,
@@ -120,56 +127,17 @@ impl<S> SnapshotView<S> {
         }
     }
 
-    /// Decomposes the view so the elastic layer can fold sealed generations
-    /// into it and re-stamp the epoch
-    /// (`(merged, epoch, coverage, shards, issued)`).
-    pub(crate) fn into_parts(self) -> (S, u64, CoverageMeta, Vec<ShardStats>, Instant) {
-        (
-            self.merged,
-            self.epoch,
-            self.coverage,
-            self.shards,
-            self.issued,
-        )
-    }
-
-    /// Rebuilds a view from [`SnapshotView::into_parts`] output with a new
-    /// merged summary, a rebased epoch and a generation stamp.  `assembled`
-    /// is re-taken, so `assembly_time` covers the extra fold.
-    pub(crate) fn from_parts(
-        merged: S,
-        epoch: u64,
-        generation: u64,
-        coverage: CoverageMeta,
-        shards: Vec<ShardStats>,
-        issued: Instant,
-    ) -> Self {
-        Self {
-            merged,
-            epoch,
-            generation,
-            coverage,
-            shards,
-            issued,
-            assembled: Instant::now(),
-        }
-    }
-
-    /// Number of acknowledged updates this view reflects.
+    /// Acknowledged updates this view accounts for, covered or not (see
+    /// the type docs).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// Which worker-set generation served this view: `0` for a fixed
-    /// [`ShardedPipeline`], and the number of completed rescales at serve
-    /// time for a view from an [`ElasticPipeline`] /
-    /// [`ElasticHandle`] — the view then also folds every sealed
-    /// generation, so its estimates still cover the whole stream.
-    ///
-    /// [`ShardedPipeline`]: crate::ShardedPipeline
-    /// [`ElasticPipeline`]: crate::ElasticPipeline
-    /// [`ElasticHandle`]: crate::ElasticHandle
+    /// Which worker-set generation served this view: the number of
+    /// completed [`rescales`](crate::ShardedPipeline::rescale) at serve
+    /// time (`0` for a pipeline that never rescaled).  The view folds every
+    /// sealed generation, so its estimates cover the whole stream.
     #[inline]
     pub fn generation(&self) -> u64 {
         self.generation
@@ -196,14 +164,13 @@ impl<S> SnapshotView<S> {
     }
 
     /// Fraction of acknowledged items this view covers:
-    /// `epoch / (epoch + uncovered_items)`, i.e. `1.0` for a full view.
+    /// `(epoch - uncovered_items) / epoch`, i.e. `1.0` for a full view.
     /// Estimates from a degraded view under-count roughly in proportion.
     pub fn coverage_fraction(&self) -> f64 {
-        let acknowledged = self.epoch + self.coverage.uncovered_items;
-        if acknowledged == 0 {
+        if self.epoch == 0 {
             1.0
         } else {
-            self.epoch as f64 / acknowledged as f64
+            self.epoch.saturating_sub(self.coverage.uncovered_items) as f64 / self.epoch as f64
         }
     }
 

@@ -12,11 +12,11 @@
 //!
 //! The same module carries the pipeline's *bounded-wait* knobs: snapshot
 //! and drain replies wait at most a configurable deadline, dispatch under
-//! backpressure can be bounded too, and [`ElasticHandle`] retries through
-//! the seal window under a [`RetryPolicy`] (exponential backoff plus a
-//! deadline) instead of forever.
+//! backpressure can be bounded too, and a [`LiveHandle`] retries through a
+//! rescale's seal window with exponential [`Backoff`] under the snapshot
+//! deadline instead of forever.
 //!
-//! [`ElasticHandle`]: crate::ElasticHandle
+//! [`LiveHandle`]: crate::LiveHandle
 
 use std::time::Duration;
 
@@ -173,41 +173,6 @@ impl Default for Backoff {
     }
 }
 
-/// Deadline + backoff for an operation that retries through a transient
-/// window — the [`ElasticHandle`](crate::ElasticHandle) seal-window retry.
-/// When the deadline expires the operation surfaces
-/// [`PipelineError::Timeout`](crate::PipelineError::Timeout) instead of
-/// retrying forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total time budget across all retries.
-    pub deadline: Duration,
-    /// Sleep schedule between retries.
-    pub backoff: Backoff,
-}
-
-impl Default for RetryPolicy {
-    /// A 5s deadline: orders of magnitude above any drain-bound seal window
-    /// (milliseconds), so it only fires when the pipeline is genuinely
-    /// stuck or gone.
-    fn default() -> Self {
-        Self {
-            deadline: Duration::from_secs(5),
-            backoff: Backoff::default(),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy with the given deadline and the default backoff schedule.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Self {
-            deadline,
-            ..Self::default()
-        }
-    }
-}
-
 /// Fault-tolerance configuration of a supervised pipeline — what to do
 /// about dead workers, how long each blocking edge may wait, and the
 /// observability hooks.  Pass it to
@@ -216,8 +181,9 @@ impl RetryPolicy {
 pub struct SupervisorConfig {
     /// What to do when a shard worker dies (default: [`Recovery::Degrade`]).
     pub recovery: Recovery,
-    /// How long a snapshot waits for each shard's reply before the view
-    /// degrades past that shard and the call reports a timeout.
+    /// How long a snapshot waits for each shard's reply before the call
+    /// reports a timeout — and how long a live-handle query retries
+    /// through a rescale's seal window.
     pub snapshot_timeout: Duration,
     /// How long a drain waits for each shard's barrier acknowledgement.
     pub drain_timeout: Duration,
@@ -228,7 +194,7 @@ pub struct SupervisorConfig {
     /// dropped).
     pub dispatch_timeout: Option<Duration>,
     /// Sleep schedule for bounded waits that poll (dispatch under a
-    /// timeout, the elastic seal window).
+    /// timeout, a live-handle query retrying through a seal window).
     pub backoff: Backoff,
     /// Fault-injection plan threaded into the worker loops; `None` outside
     /// chaos tests and benches.

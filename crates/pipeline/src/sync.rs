@@ -6,7 +6,7 @@
 //! the same names resolve to the modeled primitives of the `loom_lite`
 //! crate, whose deterministic scheduler exhaustively explores bounded
 //! thread interleavings, so the shared-state protocols in this crate
-//! (epoch/progress publication, the snapshot cache, the elastic seal
+//! (epoch/progress publication, the snapshot cache, the rescale seal
 //! window) can be compiled into interleaving models unchanged.
 //!
 //! The channels (`std::sync::mpsc`) stay on std in both configurations:

@@ -113,9 +113,13 @@ fn check_panic_schedule(
         prop_assert!(view.is_degraded());
         prop_assert_eq!(view.shards_failed(), fired.len());
         // The survivors' prefixes are complete after the drain, so the
-        // view's epoch is every item routed to a surviving shard, and the
-        // uncovered gap is exactly what the dead incarnations had applied.
-        prop_assert_eq!(view.epoch(), items.len() as u64 - routed_to_fired);
+        // view's epoch is every item routed to a surviving shard plus what
+        // the dead incarnations had applied, and the uncovered gap is
+        // exactly the latter.
+        prop_assert_eq!(
+            view.epoch(),
+            items.len() as u64 - routed_to_fired + acknowledged_lost
+        );
         prop_assert_eq!(view.coverage().uncovered_items, acknowledged_lost);
     }
 

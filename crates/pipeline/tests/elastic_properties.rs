@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use salsa_core::prelude::*;
-use salsa_pipeline::{ElasticPipeline, Partition, PipelineConfig};
+use salsa_pipeline::{Partition, PipelineConfig, ShardedPipeline};
 use salsa_sketches::prelude::*;
 
 const UNIVERSE: u64 = 300;
@@ -51,7 +51,7 @@ fn assert_counter_identical(
     Ok(())
 }
 
-/// Drives an [`ElasticPipeline`] through an arbitrary rescale schedule:
+/// Drives a [`ShardedPipeline`] through an arbitrary rescale schedule:
 /// feed up to each cut, rescale to the scheduled shard count (possibly a
 /// no-op, possibly back-to-back with zero items in between), snapshot, and
 /// verify the snapshot against the unsharded prefix; then finish and
@@ -71,7 +71,7 @@ fn check_rescale_schedule(
         .collect();
     schedule.sort_unstable_by_key(|&(cut, _)| cut);
 
-    let mut pipeline = ElasticPipeline::new(&config, make_sketch());
+    let mut pipeline = ShardedPipeline::new(&config, make_sketch());
     let mut fed = 0usize;
     let mut rescales = 0u64;
     for &(cut, shards) in &schedule {
@@ -94,7 +94,7 @@ fn check_rescale_schedule(
     let out = pipeline.finish();
     prop_assert_eq!(out.items, items.len() as u64);
     prop_assert_eq!(out.rescales() as u64, rescales);
-    prop_assert_eq!(out.generations.len() as u64, rescales + 1);
+    prop_assert_eq!(out.events.len() as u64, rescales);
     assert_counter_identical(&out.merged, &unsharded(items))
 }
 
@@ -130,17 +130,16 @@ proptest! {
         // rescale, and the consumer handle's rebase of live views over
         // sealed state — goes through `merge_with_helper` into reused
         // scratch, and must stay byte-identical to the one-shot merges it
-        // replaced.  The same handle takes both snapshots, so its cached
-        // per-generation live clone and helper are reused across the
-        // generation bump.
+        // replaced.  The same handle takes both snapshots, so its arena
+        // and helper are reused across the generation bump.
         let (first, second) = {
             let a = cut_a.min(items.len());
             let b = cut_b.min(items.len());
             (a.min(b), a.max(b))
         };
         let config = PipelineConfig::new(1).batch_size(32);
-        let mut pipeline = ElasticPipeline::new(&config, make_sketch());
-        let handle = pipeline.handle();
+        let mut pipeline = ShardedPipeline::new(&config, make_sketch());
+        let handle = pipeline.live_handle();
 
         pipeline.extend(&items[..first]);
         pipeline.rescale(3);
@@ -176,7 +175,7 @@ proptest! {
         // the other: generations of zero items must still seal cleanly.
         let cut = cut.min(items.len());
         let config = PipelineConfig::new(2).batch_size(16);
-        let mut pipeline = ElasticPipeline::new(&config, make_sketch());
+        let mut pipeline = ShardedPipeline::new(&config, make_sketch());
         pipeline.extend(&items[..cut]);
         for &count in &counts {
             pipeline.rescale(count);

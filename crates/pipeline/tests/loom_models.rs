@@ -1,7 +1,7 @@
 //! loom-lite interleaving models of the pipeline's two query protocols.
 //!
 //! These are distilled re-implementations of the shared-state protocols in
-//! `src/live.rs` and `src/elastic.rs`, built directly on `loom_lite::sync`
+//! `src/sharded.rs` and `src/live.rs`, built directly on `loom_lite::sync`
 //! so they run (and exhaust their bounded schedule space) under a plain
 //! `cargo test`.  The real types can additionally be compiled against the
 //! modeled primitives with `--features loom-lite`; the distilled models
@@ -15,11 +15,11 @@
 //!    `acknowledged`): workers only ever advance their per-shard `applied`
 //!    counters, and a snapshot sums per-shard prefixes; successive sums
 //!    through one handle must never decrease.
-//! 2. **Seal-window retry** (`ElasticHandle::snapshot` racing
-//!    `ElasticPipeline::rescale`): a query that races a rescale retries
+//! 2. **Seal-window retry** (`LiveHandle::snapshot` racing
+//!    `ShardedPipeline::rescale`): a query that races a rescale retries
 //!    against the freshly published generation, and epochs stay monotone
-//!    because sealing folds live progress into the epoch base before the
-//!    generation dies.
+//!    because sealing folds the stopped generation's acknowledged items
+//!    into the sealed count in the same publish that replaces it.
 
 use loom_lite::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use loom_lite::sync::{Arc, RwLock};
@@ -78,9 +78,10 @@ struct Generation {
     dead: AtomicBool,
 }
 
-/// What `ElasticHandle` reads under the `RwLock`: the epoch base (items in
-/// sealed generations) and the live generation.  `rescale` republishes
-/// both together under the write lock.
+/// What `LiveHandle` reads under the `RwLock` (the pipeline's published
+/// state): the epoch base (items acknowledged by sealed generations) and
+/// the live generation.  `rescale` republishes both together under the
+/// write lock.
 struct SharedState {
     base_epoch: u64,
     generation: u64,
@@ -90,12 +91,13 @@ struct SharedState {
 /// Runs the distilled producer: gen-0 ingest, then the seal (drain, go
 /// dark, fold into the base, publish gen 1), then gen-1 ingest.
 ///
-/// The seal's internal order mirrors `ElasticPipeline::rescale`, where
-/// `old.finish()` runs *before* the write-lock publish: the drained count
-/// is captured, the generation goes dark (`dead`), its counter is
-/// invalidated (the real sketch is *moved out* by `finish`, so reads after
-/// death return garbage — modeled as a store of `POISON`), and only then
-/// are base/generation/live republished together under the write lock.
+/// The seal's internal order mirrors `ShardedPipeline::rescale`, where
+/// stopping the old workers runs *before* the write-lock publish: the
+/// drained count is captured, the generation goes dark (`dead`), its
+/// counter is invalidated (the real sketch is *moved out* when its worker
+/// stops, so reads after death return garbage — modeled as a store of
+/// `POISON`), and only then are base/generation/live republished together
+/// under the write lock.
 fn run_producer(shared: &Arc<RwLock<SharedState>>, gen0: &Arc<Generation>, gen1_items: u64) {
     for item in 1..=GEN0_ITEMS {
         gen0.applied.store(item, Ordering::Release);
@@ -126,7 +128,7 @@ const GEN0_ITEMS: u64 = 2;
 /// Stands in for the garbage a dead generation's moved-out state yields.
 const POISON: u64 = 1_000;
 
-/// Model 2: the seal-window retry protocol of `ElasticHandle::snapshot`.
+/// Model 2: the seal-window retry protocol of `LiveHandle::snapshot`.
 ///
 /// The querier does what the real handle does: copy the shared state under
 /// the read lock, release it, read the live generation's progress, and
@@ -158,7 +160,7 @@ fn elastic_seal_window_retry_keeps_epochs_monotone() {
         });
 
         // The handle: snapshot with dead-checked-last retry, exactly like
-        // `ElasticHandle::snapshot` (sleep replaced by a modeled yield).
+        // `LiveHandle::snapshot` (sleep replaced by a modeled yield).
         let mut last_epoch = 0;
         for _ in 0..2 {
             let epoch = loop {

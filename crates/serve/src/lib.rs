@@ -4,8 +4,9 @@
 //! into a sharded, elastic, fault-tolerant ingest path; this crate is the
 //! "millions of users" story on top of it: a dependency-free TCP query
 //! service over `std::net`, fronting any
-//! [`SnapshotSource`](salsa_pipeline::SnapshotSource) (a `LiveHandle`, an
-//! `ElasticHandle`, or anything custom).  Four layers:
+//! [`SnapshotSource`](salsa_pipeline::SnapshotSource) (a `LiveHandle`,
+//! which keeps serving across shard restarts and rescales, or anything
+//! custom).  Four layers:
 //!
 //! 1. **Wire protocol** ([`wire`]): length-delimited frames carrying
 //!    point queries, candidate-set top-k, subscriptions and stats, with

@@ -141,8 +141,9 @@ impl Drop for ServerHandle {
 
 /// Binds `addr` and serves queries against `source` until the returned
 /// handle is shut down.  `source` is any [`SnapshotSource`] — a
-/// `LiveHandle`, an `ElasticHandle`, or a custom impl; the server wraps it
-/// in a [`CachedSnapshots`] + [`Coalescer`] stack per the config.
+/// `LiveHandle` (across restarts and rescales) or a custom impl; the
+/// server wraps it in a [`CachedSnapshots`] + [`Coalescer`] stack per the
+/// config.
 pub fn serve<H, S>(
     addr: impl ToSocketAddrs,
     source: H,

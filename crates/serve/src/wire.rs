@@ -43,7 +43,9 @@ pub const MAX_CANDIDATES: usize = 4096;
 /// a compact wire form of the pipeline's `SnapshotView` metadata.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireMeta {
-    /// Acknowledged updates the answering view reflects.
+    /// Acknowledged updates the answering view accounts for, covered or
+    /// not, so it never moves backwards for a client across shard deaths,
+    /// restarts and rescales.
     pub epoch: u64,
     /// Worker-set generation (number of completed rescales) that served it.
     pub generation: u64,
@@ -51,7 +53,7 @@ pub struct WireMeta {
     pub shards_ok: u32,
     /// Dead shards contributing nothing to the view.
     pub shards_failed: u32,
-    /// Acknowledged updates no live shard covers (lost to dead workers).
+    /// The part of `epoch` the view does not cover (lost to dead workers).
     pub uncovered_items: u64,
 }
 

@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use salsa_pipeline::{ElasticPipeline, LoadMonitor, PipelineConfig, Threshold};
+use salsa_pipeline::{LoadMonitor, PipelineConfig, ShardedPipeline, Threshold};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -36,8 +36,8 @@ fn main() {
     .to_vec();
 
     let make = |_shard: usize| CountMin::salsa(4, 1 << 15, 8, MergeOp::Sum, 7);
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(1), make);
-    let handle = pipeline.handle();
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1), make);
+    let handle = pipeline.live_handle();
     let mut monitor = LoadMonitor::new();
     let gauges = std::sync::Arc::clone(monitor.gauges());
     // Grow on a sustained two-batch backlog, shrink below 20% utilization.
@@ -107,8 +107,10 @@ fn main() {
         );
     }
     println!(
-        "generations: {:?} (shard counts over time)",
-        out.generations.iter().map(|g| g.shards).collect::<Vec<_>>()
+        "shard counts over time: {:?}",
+        std::iter::once(1)
+            .chain(out.events.iter().map(|e| e.to_shards))
+            .collect::<Vec<_>>()
     );
     println!("queries served across rescales: {served}");
     println!("final epoch {final_epoch} == items {}", out.items);

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use salsa_pipeline::{ElasticPipeline, PipelineConfig};
+use salsa_pipeline::{PipelineConfig, ShardedPipeline};
 use salsa_serve::{serve, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -35,12 +35,16 @@ fn main() {
     .to_vec();
     let candidates: Vec<u64> = items.iter().step_by(101).copied().collect();
 
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), |_| {
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), |_| {
         CountMin::salsa(4, 1 << 15, 8, MergeOp::Sum, 7)
     });
     // Port 0: the OS picks a free port; handle.addr() is the real one.
-    let server = serve("127.0.0.1:0", pipeline.handle(), ServeConfig::default())
-        .expect("bind a loopback socket");
+    let server = serve(
+        "127.0.0.1:0",
+        pipeline.live_handle(),
+        ServeConfig::default(),
+    )
+    .expect("bind a loopback socket");
     let addr = server.addr();
     println!("serving on {addr}\n");
 

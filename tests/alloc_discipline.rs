@@ -3,13 +3,14 @@
 //! The zero-allocation contract (see README "Hot path & allocation
 //! discipline"): once a live pipeline's snapshot arena and a merge
 //! helper's scratch are warm, point queries served through
-//! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) and helper-based
-//! shard merges into a refreshed destination buffer touch the heap **zero
+//! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) — before and after
+//! the pipeline rescales under the same handle — and helper-based shard
+//! merges into a refreshed destination buffer touch the heap **zero
 //! times**.  This test proves it with a counting `#[global_allocator]`
 //! rather than asserting it from code review: any `Vec` growth, `clone`,
 //! or box sneaking back into the serve/merge path fails the count.
 //!
-//! Both phases live in one `#[test]` on purpose — the allocation counter
+//! All phases live in one `#[test]` on purpose — the allocation counter
 //! is process-global, so concurrently running test threads would pollute
 //! each other's windows.
 
@@ -112,12 +113,34 @@ fn steady_state_queries_and_merges_do_not_allocate() {
         "steady-state cached point queries must not touch the heap \
          ({query_allocs} allocations across {QUERIES} queries)"
     );
+
+    // --- Phase 2: cached point queries through the same handle after a
+    // rescale: the served view folds the sealed generation, and a hit
+    // resolves the live generation to measure its lag. ---
+    pipeline.rescale(SHARDS / 2).expect("a real rescale");
+    let cached = handle.cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
+    let view = cached.snapshot().expect("pipeline is live");
+    assert_eq!(view.generation(), 1, "the view spans the rescale");
+    sink ^= view.estimate(items[0]);
+    drop(view);
+
+    let before = allocations();
+    for i in 0..QUERIES {
+        let view = cached.snapshot().expect("pipeline is live");
+        sink ^= view.estimate(items[i % items.len()]);
+    }
+    let rescaled_allocs = allocations() - before;
+    assert_eq!(
+        rescaled_allocs, 0,
+        "cached point queries after a rescale must not touch the heap \
+         ({rescaled_allocs} allocations across {QUERIES} queries)"
+    );
     std::hint::black_box(sink);
 
     let out = pipeline.finish();
     assert_eq!(out.items as usize, items.len());
 
-    // --- Phase 2: helper-based shard merges into a warm destination. ---
+    // --- Phase 3: helper-based shard merges into a warm destination. ---
     let (left, right) = items.split_at(items.len() / 2);
     let mut base = cms();
     let mut other = cms();

@@ -70,10 +70,13 @@ fn one_dead_shard_of_four_keeps_serving_queries() {
     assert!(view.is_degraded());
     assert_eq!(view.shards_failed(), 1);
     assert_eq!(view.shards_ok(), 3);
-    assert_eq!(view.epoch(), UPDATES as u64 - routed_to_dead);
+    assert_eq!(
+        view.epoch() - view.coverage().uncovered_items,
+        UPDATES as u64 - routed_to_dead
+    );
     // Coverage names the gap exactly: the view covers every item routed to
     // a survivor, and the uncovered count is what shard 2 acknowledged.
-    let fraction = view.epoch() as f64 / (view.epoch() + view.coverage().uncovered_items) as f64;
+    let fraction = (view.epoch() - view.coverage().uncovered_items) as f64 / view.epoch() as f64;
     assert!((view.coverage_fraction() - fraction).abs() < 1e-12);
     assert!(view.coverage_fraction() < 1.0);
     let mut served = 0u64;
@@ -128,6 +131,53 @@ fn restart_policy_brings_the_shard_back() {
     let out = pipeline.try_finish().expect("all four shards report");
     assert!(out.failed_shards.is_empty());
     assert!(out.lost_items > 0);
+}
+
+/// Restart recovery works in every generation: the pipeline keeps the one
+/// factory it was built with, so a shard that exists only after a 1 → 3
+/// rescale is restarted like any other, and the handle taken before the
+/// rescale names the dead incarnation's items as uncovered.
+#[test]
+fn restart_policy_recovers_a_shard_after_a_rescale() {
+    silence_worker_panics();
+    let plan = Arc::new(FaultPlan::new().panic_shard(2, 128));
+    let supervisor = SupervisorConfig::new().restart(1).chaos(Arc::clone(&plan));
+    let counters = Arc::clone(&supervisor.counters);
+    let config = PipelineConfig::new(1)
+        .partition(Partition::RoundRobin)
+        .batch_size(64);
+    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+    let handle = pipeline.live_handle();
+    pipeline.extend(&(0..256).collect::<Vec<u64>>());
+    pipeline.rescale(3).expect("1 -> 3 is a real rescale");
+    // Round-robin over three shards: 192 items each, three 64-item batches.
+    // Shard 2 applies two, then panics on the third.
+    pipeline.extend(&(0..576).collect::<Vec<u64>>());
+    pipeline.try_drain().expect("drain restarts the dead shard");
+    assert_eq!(plan.fired(), 1);
+    assert!(pipeline.health().all_up(), "shard 2 is back");
+    assert_eq!(pipeline.health().restarts(2), 1);
+    assert_eq!(counters.worker_restarts.get(), 1);
+    assert_eq!(
+        pipeline.lost_items(),
+        192,
+        "128 applied-then-lost + 64 in flight"
+    );
+
+    // The restarted shard ingests again.
+    pipeline.extend(&(0..192).collect::<Vec<u64>>());
+    pipeline.drain();
+    let view = handle
+        .try_snapshot()
+        .expect("the pre-rescale handle serves");
+    assert_eq!(view.generation(), 1);
+    assert_eq!(view.shards_ok(), 3, "every worker replies");
+    assert_eq!(view.coverage().uncovered_items, 128, "the loss is named");
+    assert_eq!(view.epoch(), 256 + 3 * 256 - 64, "every acknowledged item");
+    let out = pipeline.try_finish().expect("all three shards report");
+    assert!(out.failed_shards.is_empty());
+    assert_eq!(out.lost_items, 192);
+    assert_eq!(out.rescales(), 1);
 }
 
 /// A swallowed drain acknowledgement surfaces as `PipelineError::Timeout`

@@ -5,14 +5,14 @@
 //! The acceptance bar: a run that rescales 1 → 4 → 2 shards mid-stream
 //! must produce a merged sum-merge CMS **counter-identical** (every bucket
 //! of every row — byte-identical state) to the unsharded run, while
-//! concurrent [`ElasticHandle`] queries keep succeeding throughout with
+//! concurrent [`LiveHandle`] queries keep succeeding throughout with
 //! monotonically non-decreasing epochs and no lost counts.
 
 use std::time::Duration;
 
 use salsa_core::prelude::*;
 use salsa_pipeline::{
-    CachePolicy, ElasticPipeline, LoadMonitor, Manual, Partition, PipelineConfig, Threshold,
+    CachePolicy, LoadMonitor, Manual, Partition, PipelineConfig, ShardedPipeline, Threshold,
 };
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -62,8 +62,8 @@ fn assert_counter_identical(a: &CountMin<SimpleSalsaRow>, b: &CountMin<SimpleSal
 fn rescaling_1_4_2_mid_stream_is_byte_identical_with_live_queries_throughout() {
     let items = trace();
     let config = PipelineConfig::new(1).batch_size(256);
-    let mut pipeline = ElasticPipeline::new(&config, make_cms());
-    let handle = pipeline.handle();
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
+    let handle = pipeline.live_handle();
     let full = unsharded(&items);
     let full_probe: Vec<i64> = (0..64u64)
         .map(|item| FrequencyEstimator::estimate(&full, item))
@@ -129,7 +129,7 @@ fn round_robin_elastic_runs_are_also_exact() {
     let config = PipelineConfig::new(3)
         .partition(Partition::RoundRobin)
         .batch_size(128);
-    let mut pipeline = ElasticPipeline::new(&config, make_cms());
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
     pipeline.extend(&items[..25_000]);
     pipeline.rescale(1);
     pipeline.extend(&items[25_000..45_000]);
@@ -142,7 +142,7 @@ fn round_robin_elastic_runs_are_also_exact() {
 #[test]
 fn manual_policy_drives_rescales_through_autoscale() {
     let items = trace();
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_cms());
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_cms());
     let mut monitor = LoadMonitor::new();
     let mut policy = Manual::new(2);
     assert!(
@@ -168,7 +168,7 @@ fn threshold_policy_grows_under_synthetic_backlog() {
     // policy unit tests cover the decision logic exhaustively; here we
     // check the loop actually rescales a running pipeline.)
     let items = trace();
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(1).batch_size(32), make_cms());
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(1).batch_size(32), make_cms());
     let mut monitor = LoadMonitor::new();
     let mut policy = Threshold::new(1, 4, 1, 0.0)
         .with_patience(1)
@@ -198,9 +198,9 @@ fn threshold_policy_grows_under_synthetic_backlog() {
 #[test]
 fn elastic_handle_cache_serves_across_rescales() {
     let items = trace();
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_cms());
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_cms());
     let cached = pipeline
-        .handle()
+        .live_handle()
         .cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
     pipeline.extend(&items[..20_000]);
     let first = cached.snapshot().expect("pipeline is live");
@@ -218,7 +218,7 @@ fn elastic_handle_cache_serves_across_rescales() {
     // A cache whose entry is always out of bounds must re-assemble every
     // time — and once the pipeline finishes, it goes dark.
     let strict = pipeline
-        .handle()
+        .live_handle()
         .cached(CachePolicy::new(Duration::ZERO, 0));
     assert!(strict.snapshot().is_some());
     pipeline.finish();

@@ -39,7 +39,7 @@ fn unsharded<S: SnapshotSummary>(mut sketch: S, items: &[u64]) -> S {
 fn assert_identical<S, F>(make: F, items: &[u64], partition: Partition, label: &str)
 where
     S: SnapshotSummary + FrequencyQueries,
-    F: Fn(usize) -> S + Copy,
+    F: Fn(usize) -> S + Copy + Send,
 {
     let single = unsharded(make(0), items);
     for shards in [2usize, 4, 5] {

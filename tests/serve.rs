@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use salsa_core::prelude::*;
 use salsa_pipeline::{
-    silence_worker_panics, ElasticPipeline, FaultPlan, PipelineConfig, SupervisorConfig,
+    silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline, SupervisorConfig,
 };
 use salsa_serve::{serve, AdmissionConfig, ClientError, ErrorCode, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
@@ -51,9 +51,13 @@ fn serves_across_rescale_and_shard_death_with_monotone_epochs() {
     let plan = Arc::new(FaultPlan::new().panic_shard(1, 2_000));
     let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
     let config = PipelineConfig::new(1).batch_size(256);
-    let mut pipeline = ElasticPipeline::supervised(&config, supervisor, make_cms());
-    let server =
-        serve("127.0.0.1:0", pipeline.handle(), ServeConfig::default()).expect("bind loopback");
+    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+    let server = serve(
+        "127.0.0.1:0",
+        pipeline.live_handle(),
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
     let addr = server.addr();
 
     let done = Arc::new(AtomicBool::new(false));
@@ -136,7 +140,7 @@ fn serves_across_rescale_and_shard_death_with_monotone_epochs() {
 #[test]
 fn overload_sheds_with_typed_responses_while_ingest_continues() {
     let items = trace();
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2).batch_size(64), make_cms());
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2).batch_size(64), make_cms());
     let config = ServeConfig {
         coalesce_window: Duration::from_millis(2),
         admission: AdmissionConfig {
@@ -147,7 +151,7 @@ fn overload_sheds_with_typed_responses_while_ingest_continues() {
         ..Default::default()
     };
     let load = Arc::clone(&config.load);
-    let server = serve("127.0.0.1:0", pipeline.handle(), config).expect("bind loopback");
+    let server = serve("127.0.0.1:0", pipeline.live_handle(), config).expect("bind loopback");
     let addr = server.addr();
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -218,9 +222,13 @@ fn overload_sheds_with_typed_responses_while_ingest_continues() {
 #[test]
 fn subscriptions_stream_monotone_updates_and_finish_typed() {
     let items = trace();
-    let mut pipeline = ElasticPipeline::new(&PipelineConfig::new(2), make_cms());
-    let server =
-        serve("127.0.0.1:0", pipeline.handle(), ServeConfig::default()).expect("bind loopback");
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_cms());
+    let server = serve(
+        "127.0.0.1:0",
+        pipeline.live_handle(),
+        ServeConfig::default(),
+    )
+    .expect("bind loopback");
     let addr = server.addr();
     pipeline.extend(&items);
     pipeline.drain();

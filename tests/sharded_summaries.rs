@@ -11,7 +11,7 @@
 //! * **Sharded distinct counting**: a [`DistinctCounter`] over sum-merge
 //!   SALSA rows is **byte-exact** — the merged zero-counter pattern equals
 //!   the unsharded one, so Linear Counting returns the identical estimate,
-//!   through both `run_sharded` and an `ElasticPipeline` that rescales
+//!   through both `run_sharded` and a `ShardedPipeline` that rescales
 //!   mid-stream.
 //!
 //! Plus the [`Tracked`] wrapper: per-shard heavy-hitter trackers merged at
@@ -22,8 +22,7 @@ use std::collections::HashMap;
 
 use salsa_core::prelude::*;
 use salsa_pipeline::{
-    run_sharded, ElasticPipeline, Partition, PipelineConfig, ShardedPipeline, StreamSummary,
-    Tracked,
+    run_sharded, Partition, PipelineConfig, ShardedPipeline, StreamSummary, Tracked,
 };
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -205,7 +204,7 @@ fn distinct_counter_stays_exact_across_elastic_rescales() {
     single.ingest(&items);
 
     let config = PipelineConfig::new(1).batch_size(256);
-    let mut pipeline = ElasticPipeline::new(&config, make_distinct(29));
+    let mut pipeline = ShardedPipeline::new(&config, make_distinct(29));
     let chunks: Vec<&[u64]> = items.chunks(items.len() / 4 + 1).collect();
     pipeline.extend(chunks[0]);
     assert!(pipeline.rescale(3).is_some());
