@@ -29,6 +29,8 @@ impl MergeBitmap {
     /// Creates an all-zero bitmap over `len` base counters.
     pub fn new(len: usize) -> Self {
         Self {
+            // ALLOC-OK: the constructor sizes the bitmap once; `reset` and
+            // `copy_from` reuse it.
             words: vec![0u64; len.div_ceil(64)],
             len,
         }
@@ -95,6 +97,14 @@ impl MergeEncoding for MergeBitmap {
         level
     }
 
+    /// One shift and one mask of the bitmap word holding the slots.
+    #[inline(always)]
+    fn word_markers(&self, first: usize, count: usize) -> u64 {
+        debug_assert!(count.is_power_of_two() && (2..=32).contains(&count));
+        debug_assert!(first.is_multiple_of(count));
+        (self.words[first / 64] >> (first % 64)) & ((1u64 << count) - 1)
+    }
+
     fn mark_merged(&mut self, idx: usize, level: u32) {
         // Mark every internal marker of the level-`level` block so that the
         // decode in `level_of` reaches `level` from any index in the block.
@@ -121,6 +131,10 @@ impl MergeEncoding for MergeBitmap {
     fn copy_from(&mut self, src: &Self) {
         assert_eq!(self.len, src.len, "bitmap lengths must match");
         self.words.copy_from_slice(&src.words);
+    }
+
+    fn reset(&mut self) {
+        self.words.fill(0);
     }
 }
 
@@ -197,6 +211,36 @@ mod tests {
     #[test]
     fn overhead_is_one_bit_per_counter() {
         assert_eq!(MergeBitmap::overhead_bits(1024), 1024);
+    }
+
+    #[test]
+    fn word_markers_match_markers_rebuilt_from_levels() {
+        use crate::encoding::test_support::{markers_from_levels, merge_random_layout};
+        let mut state = 0x5A15A;
+        for trial in 0..200 {
+            // Up to level 6: a counter may span a whole bitmap word.
+            let max_level = trial % 7;
+            let mut b = MergeBitmap::new(256);
+            merge_random_layout(&mut b, 256, max_level, &mut state);
+            for count in [2, 4, 8, 16, 32] {
+                for first in (0..256).step_by(count) {
+                    assert_eq!(
+                        b.word_markers(first, count),
+                        markers_from_levels(&b, first, count, max_level),
+                        "slots {first}..{} at max level {max_level}",
+                        first + count
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_clears_in_place() {
+        let mut b = MergeBitmap::new(128);
+        b.mark_merged(40, 3);
+        b.reset();
+        assert_eq!(b, MergeBitmap::new(128));
     }
 
     #[test]

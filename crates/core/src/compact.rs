@@ -27,6 +27,41 @@ pub const CODE_BITS: usize = 19;
 /// block.
 pub const LAYOUT_COUNTS: [u64; 6] = [1, 2, 5, 26, 677, 458_330];
 
+/// Where each block size's entries start in [`MARKER_TABLE`]: the entry of
+/// layout code `x` of a `2^n`-slot block is `MARKER_TABLE[MARKER_OFFSETS[n] + x]`.
+const MARKER_OFFSETS: [usize; 5] = [0, 1, 3, 8, 34];
+
+/// The simple encoding's marker bits (see [`MergeEncoding::word_markers`])
+/// of every layout code of a `2^n`-slot block, for `n = 0..=4`: 1 + 2 + 5 +
+/// 26 + 677 entries.  A 32-slot block is looked up as its two halves.
+const MARKER_TABLE: [u16; 711] = marker_table();
+
+/// Marker bits of one merged `2^n`-slot counter: every slot but its last.
+const fn merged_markers(n: u32) -> u64 {
+    (1u64 << ((1u32 << n) - 1)) - 1
+}
+
+const fn marker_table() -> [u16; 711] {
+    let mut table = [0u16; 711];
+    let mut n = 1;
+    while n < BLOCK_EXP as usize {
+        let radix = LAYOUT_COUNTS[n - 1];
+        let mut code = 0;
+        while code < LAYOUT_COUNTS[n] {
+            table[MARKER_OFFSETS[n] + code as usize] = if code == LAYOUT_COUNTS[n] - 1 {
+                merged_markers(n as u32) as u16
+            } else {
+                let first = table[MARKER_OFFSETS[n - 1] + (code / radix) as usize];
+                let second = table[MARKER_OFFSETS[n - 1] + (code % radix) as usize];
+                first | second << (1 << (n - 1))
+            };
+            code += 1;
+        }
+        n += 1;
+    }
+    table
+}
+
 /// The per-block layout codes of a row (the near-optimal encoding).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayoutCodes {
@@ -82,6 +117,41 @@ impl LayoutCodes {
         Self::encode_rec(levels, n - 1, start) * radix
             + Self::encode_rec(levels, n - 1, start + (1 << (n - 1)))
     }
+
+    /// [`MergeEncoding::word_markers`] for the `2^K` slots from `first`:
+    /// walks the block code down to the code of the `2^K`-slot sub-block
+    /// (one div/mod per level, by constants) and looks its markers up.
+    #[inline(always)]
+    fn sub_block_markers<const K: u32>(&self, first: usize) -> u64 {
+        let mut code = self.codes[first / BLOCK];
+        if K == BLOCK_EXP {
+            if code as u64 == LAYOUT_COUNTS[5] - 1 {
+                return merged_markers(BLOCK_EXP);
+            }
+            let radix = LAYOUT_COUNTS[4] as u32;
+            let half = |code: u32| MARKER_TABLE[MARKER_OFFSETS[4] + code as usize] as u64;
+            return half(code / radix) | half(code % radix) << (BLOCK / 2);
+        }
+        let local = first % BLOCK;
+        let mut n = BLOCK_EXP;
+        while n > K {
+            if code as u64 == LAYOUT_COUNTS[n as usize] - 1 {
+                // The slots lie inside one merged 2^n-slot counter: all of
+                // them are markers except that counter's last slot.
+                let slots = 1usize << K;
+                let all = (1u64 << slots) - 1;
+                let holds_last = (local + slots).is_multiple_of(1 << n);
+                return all >> u32::from(holds_last);
+            }
+            let radix = LAYOUT_COUNTS[(n - 1) as usize] as u32;
+            // Which half holds the slots depends on the item: a branch
+            // here would mispredict half the time.
+            let second_half = local & (1 << (n - 1)) != 0;
+            code = std::hint::select_unpredictable(second_half, code % radix, code / radix);
+            n -= 1;
+        }
+        MARKER_TABLE[MARKER_OFFSETS[K as usize] + code as usize] as u64
+    }
 }
 
 impl MergeEncoding for LayoutCodes {
@@ -91,6 +161,8 @@ impl MergeEncoding for LayoutCodes {
             "compact encoding requires the row width to be a multiple of {BLOCK}, got {width}"
         );
         Self {
+            // ALLOC-OK: the constructor sizes the codes once; `reset` and
+            // `copy_from` reuse them.
             codes: vec![0u32; width / BLOCK],
         }
     }
@@ -116,6 +188,22 @@ impl MergeEncoding for LayoutCodes {
                 start += half;
             }
             n -= 1;
+        }
+    }
+
+    /// Decodes the slots' block code once: walks it down to the sub-code
+    /// of their `count`-slot sub-block — for `s = 8`, `X₅` to `X₃ < 26`
+    /// by two div/mods — then reads a table.
+    #[inline(always)]
+    fn word_markers(&self, first: usize, count: usize) -> u64 {
+        debug_assert!(count.is_power_of_two() && (2..=BLOCK).contains(&count));
+        debug_assert!(first.is_multiple_of(count));
+        match count.trailing_zeros() {
+            1 => self.sub_block_markers::<1>(first),
+            2 => self.sub_block_markers::<2>(first),
+            3 => self.sub_block_markers::<3>(first),
+            4 => self.sub_block_markers::<4>(first),
+            _ => self.sub_block_markers::<5>(first),
         }
     }
 
@@ -154,6 +242,10 @@ impl MergeEncoding for LayoutCodes {
             "layout code counts must match"
         );
         self.codes.copy_from_slice(&src.codes);
+    }
+
+    fn reset(&mut self) {
+        self.codes.fill(0);
     }
 }
 
@@ -248,6 +340,62 @@ mod tests {
         assert_eq!(663 % LAYOUT_COUNTS[3], 13);
         assert_eq!(13 / LAYOUT_COUNTS[2], 2);
         assert_eq!(2 / LAYOUT_COUNTS[1], 1);
+    }
+
+    #[test]
+    fn marker_table_matches_the_decoded_levels() {
+        for n in 0..BLOCK_EXP {
+            for code in 0..LAYOUT_COUNTS[n as usize] as u32 {
+                // Pad the 2^n-slot code to a 32-slot block code whose first
+                // 2^n slots carry it: every enclosing first half.
+                let block_code =
+                    (n..BLOCK_EXP).fold(code, |c, m| c * LAYOUT_COUNTS[m as usize] as u32);
+                let levels = LayoutCodes::decode_block(block_code);
+                let expected = (0..1usize << n)
+                    .filter(|&i| u32::from(levels[i]) > i.trailing_ones())
+                    .fold(0u16, |acc, i| acc | 1 << i);
+                assert_eq!(
+                    MARKER_TABLE[MARKER_OFFSETS[n as usize] + code as usize],
+                    expected
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn word_markers_match_markers_rebuilt_from_levels() {
+        use crate::encoding::test_support::{markers_from_levels, merge_random_layout, next};
+        let mut state = 0xC0DE;
+        for trial in 0..400 {
+            let mut enc = LayoutCodes::for_width(128);
+            if trial % 2 == 0 {
+                // Uniformly random layouts: any code below a₅ per block.
+                for code in &mut enc.codes {
+                    *code = (next(&mut state) % LAYOUT_COUNTS[5]) as u32;
+                }
+            } else {
+                merge_random_layout(&mut enc, 128, trial % 6, &mut state);
+            }
+            for count in [2, 4, 8, 16, 32] {
+                for first in (0..128).step_by(count) {
+                    assert_eq!(
+                        enc.word_markers(first, count),
+                        markers_from_levels(&enc, first, count, BLOCK_EXP),
+                        "slots {first}..{} of codes {:?}",
+                        first + count,
+                        enc.codes
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reset_clears_in_place() {
+        let mut enc = LayoutCodes::for_width(64);
+        enc.mark_merged(40, 3);
+        enc.reset();
+        assert_eq!(enc, LayoutCodes::for_width(64));
     }
 
     #[test]

@@ -18,6 +18,33 @@ use crate::encoding::MergeEncoding;
 use crate::storage::{signed_magnitude_capacity, unsigned_capacity, BitStorage};
 use crate::traits::{MergeOp, Row, SignedRow};
 
+/// `CHAIN_MASKS[k - 1][i]`: the merge markers that must all be set for
+/// slot `i` of a storage word to lie in a counter of level `k` or more —
+/// the marker of its level-`j` block, at slot `(i & !(2^j − 1)) + 2^(j−1) −
+/// 1`, for every `j ≤ k` (see [`crate::bitmap`]).
+const CHAIN_MASKS: [[u32; 32]; 5] = {
+    let mut masks = [[0u32; 32]; 5];
+    let mut slot = 0;
+    while slot < 32 {
+        let mut needed = 0;
+        let mut k = 1;
+        while k <= 5 {
+            needed |= 1 << ((slot & !((1 << k) - 1)) + (1 << (k - 1)) - 1);
+            masks[k - 1][slot] = needed;
+            k += 1;
+        }
+        slot += 1;
+    }
+    masks
+};
+
+/// `SLOT_ALIGN[ℓ]` clears the low `ℓ` bits of a slot index: the first slot
+/// of its level-`ℓ` counter.
+const SLOT_ALIGN: [usize; 6] = [!0, !1, !3, !7, !15, !31];
+
+/// `ONES[n]`: a field of `2^n` one bits.
+const ONES: [u64; 7] = [1, 3, 0xF, 0xFF, 0xFFFF, 0xFFFF_FFFF, u64::MAX];
+
 /// A logical counter inside a SALSA row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter {
@@ -298,6 +325,56 @@ impl<E: MergeEncoding> SalsaRow<E> {
         }
         splits
     }
+
+    /// The word-local unit adds behind [`Row::add_unit_batch`], for base
+    /// counters of `S` bits: `64/S` slots and at most `log₂(64/S)` levels
+    /// per storage word, since counters never exceed 64 bits and are
+    /// aligned to their own size.
+    ///
+    /// For each bucket, in stream order: read the merge markers of the
+    /// bucket's storage word, take the counter's level from them
+    /// branch-free (the AND-chain "the level-`k` marker of the slot is set
+    /// for every `k ≤ ℓ`", tested as one mask per level from
+    /// [`CHAIN_MASKS`], capped at `max_level`), and bump the counter's bit
+    /// field in place unless it is all ones.  A full counter at the
+    /// maximum level stays saturated, as [`Row::add`] leaves it.  Stops at
+    /// the first full counter below it and returns its bucket's position:
+    /// the caller merges it up, as `add` would, and retries the unit.
+    /// Storage and encoding are borrowed once per such run of fast adds,
+    /// not re-read through `self` per item.
+    fn add_units<const S: u32>(&mut self, buckets: &[usize]) -> Option<usize> {
+        let slots = (64 / S) as usize;
+        let word_levels = slots.trailing_zeros();
+        let words = self.storage.words_mut();
+        let encoding = &self.encoding;
+        for (at, &idx) in buckets.iter().enumerate() {
+            let local = idx % slots;
+            // 64-bit base counters never merge: no markers to read.
+            let markers = if word_levels == 0 {
+                0
+            } else {
+                encoding.word_markers(idx - local, slots)
+            };
+            let mut level = 0;
+            for chain in &CHAIN_MASKS[..word_levels as usize] {
+                let needed = u64::from(chain[local]);
+                level += u32::from(markers & needed == needed);
+            }
+            let level = level.min(self.max_level);
+            // Tables, not variable shifts: those cost several micro-ops
+            // each on x86-64, and this loop is bound by micro-ops.
+            let shift = (local & SLOT_ALIGN[level as usize]) as u32 * S;
+            let field = ONES[(S.trailing_zeros() + level) as usize] << shift;
+            let word = &mut words[idx / slots];
+            if *word & field != field {
+                // The field's lowest bit: one unit of the counter.
+                *word += field & field.wrapping_neg();
+            } else if level < self.max_level {
+                return Some(at);
+            }
+        }
+        None
+    }
 }
 
 impl<E: MergeEncoding> Row for SalsaRow<E> {
@@ -359,6 +436,33 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
         }
     }
 
+    /// Word-local unit adds (`SalsaRow::add_units`).  A counter that
+    /// overflows takes `add`'s own overflow step, `merge_up`, and the unit
+    /// is retried on the merged counter, which has room for it: the row
+    /// ends exactly as after `add(b, 1)` per bucket.  Calling `add` itself
+    /// here would give it a second caller next to `RowMerge::absorb`, and
+    /// the compiler then stops inlining it into the snapshot fold.  The
+    /// base width is matched once per run of fast adds, not per item.
+    fn add_unit_batch(&mut self, buckets: &[usize]) {
+        let mut rest = buckets;
+        loop {
+            let overflow = match self.base_bits {
+                2 => self.add_units::<2>(rest),
+                4 => self.add_units::<4>(rest),
+                8 => self.add_units::<8>(rest),
+                16 => self.add_units::<16>(rest),
+                32 => self.add_units::<32>(rest),
+                _ => self.add_units::<64>(rest),
+            };
+            let Some(at) = overflow else {
+                return;
+            };
+            let idx = rest[at];
+            self.merge_up(idx, self.level_of(idx));
+            rest = &rest[at..];
+        }
+    }
+
     fn size_bytes(&self) -> usize {
         (self.width * self.base_bits as usize + E::overhead_bits(self.width)).div_ceil(8)
     }
@@ -399,7 +503,7 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
 
     fn reset(&mut self) {
         self.storage.clear();
-        self.encoding = E::for_width(self.width);
+        self.encoding.reset();
         self.merge_events = 0;
     }
 }
@@ -639,7 +743,7 @@ impl<E: MergeEncoding> SignedRow for SalsaSignedRow<E> {
 
     fn reset(&mut self) {
         self.storage.clear();
-        self.encoding = E::for_width(self.width);
+        self.encoding.reset();
         self.merge_events = 0;
     }
 }

@@ -277,7 +277,7 @@ impl Row for TangoRow {
 
     fn reset(&mut self) {
         self.storage.clear();
-        self.merged_right = MergeBitmap::new(self.width);
+        MergeEncoding::reset(&mut self.merged_right);
         self.merge_events = 0;
     }
 }

@@ -31,10 +31,20 @@ pub trait Row {
     /// unit-weight batched hot path used by the sharded pipeline.
     ///
     /// The provided implementation simply loops over [`Row::add`]; row types
-    /// with cheaper unit-increment paths (e.g. [`crate::fixed::FixedRow`])
-    /// override it.  Processing a whole batch against one row at a time keeps
-    /// that row's storage hot in cache, which is where the batched update
-    /// loop gets its speed.
+    /// with cheaper unit-increment paths override it, and every override
+    /// leaves the row exactly as that loop would:
+    ///
+    /// * [`crate::fixed::FixedRow`] bumps each counter below capacity;
+    /// * [`crate::row::SalsaRow`] adds word-locally: it decodes the
+    ///   counter's level from the merge markers of its own storage word
+    ///   ([`crate::encoding::MergeEncoding::word_markers`]) and bumps the
+    ///   counter's bit field in place.  Only a full counter falls back to
+    ///   [`Row::add`]'s own handling: it stays saturated at the maximum
+    ///   level, or merges up and then takes the unit.
+    ///
+    /// Processing a whole batch against one row at a time keeps that row's
+    /// storage hot in cache, which is where the batched update loop gets
+    /// its speed.
     #[inline]
     fn add_unit_batch(&mut self, buckets: &[usize]) {
         for &bucket in buckets {
@@ -159,6 +169,18 @@ mod tests {
             assert_eq!(a.read(i), b.read(i), "slot {i}");
             assert_eq!(a.level_of(i), b.level_of(i), "slot {i}");
         }
+        // `TangoRow` runs the provided default itself.
+        let mut a = crate::tango::TangoRow::new(16, 8, MergeOp::Sum);
+        let mut b = a.clone();
+        a.add_unit_batch(&buckets);
+        for &bucket in &buckets {
+            b.add(bucket, 1);
+        }
+        for i in 0..16 {
+            assert_eq!(a.read(i), b.read(i), "tango slot {i}");
+            assert_eq!(a.span_of(i), b.span_of(i), "tango slot {i}");
+        }
+        assert_eq!(a.merge_events(), b.merge_events());
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!   one;
 //! * Tango reads are bounded between the per-slot ground truth and the SALSA
 //!   reads (Tango counters are always contained in SALSA counters);
-//! * sign-magnitude signed rows track exact signed sums.
+//! * sign-magnitude signed rows track exact signed sums;
+//! * a SALSA row's word-local `add_unit_batch` leaves the row byte-identical
+//!   to one `add(b, 1)` per bucket, for every base width, encoding, merge
+//!   op and maximum counter size.
 
 use proptest::prelude::*;
 use salsa_core::prelude::*;
@@ -37,6 +40,76 @@ fn slot_sums(updates: &[(usize, u64)]) -> Vec<u64> {
 fn block_sum(sums: &[u64], idx: usize, level: u32) -> u64 {
     let start = (idx >> level) << level;
     sums[start..start + (1 << level)].iter().sum()
+}
+
+/// Width of the rows the unit-batch property drives: several storage words
+/// at every base width, and a whole number of compact-encoding blocks.
+const UNIT_WIDTH: usize = 128;
+
+/// One row shape the unit-batch property covers.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    base_bits: u32,
+    max_bits: u32,
+    op: MergeOp,
+}
+
+impl Shape {
+    /// Base counters of `2 << base` bits (2 to 64), `extra` more levels
+    /// allowed up to 64-bit counters, max-merge if `max`.
+    fn new(base: u32, extra: u32, max: bool) -> Self {
+        let base_bits = 2 << base;
+        Self {
+            base_bits,
+            max_bits: base_bits << extra.min(5 - base),
+            op: if max { MergeOp::Max } else { MergeOp::Sum },
+        }
+    }
+}
+
+/// Checks that `add_unit_batch` over `buckets` (in `chunk`-sized batches)
+/// leaves a row exactly as one `add(b, 1)` per bucket does — every
+/// counter, every slot's level and the merge count — after both rows got
+/// the same weighted `prelude`, which parks counters just below the
+/// capacity of a chosen level so the units overflow (or saturate) there.
+fn unit_batch_matches_unit_adds<E: MergeEncoding>(
+    shape: Shape,
+    prelude: &[(usize, u32, u64)],
+    buckets: &[usize],
+    chunk: usize,
+) -> Result<(), TestCaseError> {
+    let mut batched =
+        SalsaRow::<E>::with_max_bits(UNIT_WIDTH, shape.base_bits, shape.op, shape.max_bits);
+    for &(idx, level, below) in prelude {
+        let level = level.min(batched.max_level());
+        let capacity = u64::MAX >> (64 - (shape.base_bits << level));
+        let headroom = capacity.saturating_sub(batched.read(idx).saturating_add(below));
+        batched.add(idx, headroom.max(1));
+    }
+    let mut looped = batched.clone();
+    for batch in buckets.chunks(chunk) {
+        batched.add_unit_batch(batch);
+    }
+    for &bucket in buckets {
+        looped.add(bucket, 1);
+    }
+    prop_assert_eq!(
+        batched.counters().collect::<Vec<_>>(),
+        looped.counters().collect::<Vec<_>>(),
+        "{:?}",
+        shape
+    );
+    for idx in 0..UNIT_WIDTH {
+        prop_assert_eq!(
+            batched.level_of(idx),
+            looped.level_of(idx),
+            "slot {} {:?}",
+            idx,
+            shape
+        );
+    }
+    prop_assert_eq!(batched.merge_events(), looped.merge_events(), "{:?}", shape);
+    Ok(())
 }
 
 proptest! {
@@ -144,6 +217,26 @@ proptest! {
         row.split_all();
         for idx in 0..WIDTH {
             prop_assert!(row.read(idx) + 1 >= sums[idx] / 2);
+        }
+    }
+
+    #[test]
+    fn salsa_add_unit_batch_is_byte_identical_to_unit_adds(
+        shape in (0..6u32, 0..6u32, 0..2u8, 0..2u8),
+        prelude in prop::collection::vec((0..UNIT_WIDTH, 0..6u32, 0..4u64), 0..16),
+        draws in prop::collection::vec((0..UNIT_WIDTH, 0..4u32), 0..3_000),
+        chunk in 1..1_100usize
+    ) {
+        // Skewed buckets: a draw of heat h lands in the first
+        // UNIT_WIDTH / 4^h slots, so low slots take most of the stream and
+        // overflow again and again.
+        let buckets: Vec<usize> = draws.iter().map(|&(slot, heat)| slot >> (2 * heat)).collect();
+        let (base, extra, max, compact) = shape;
+        let shape = Shape::new(base, extra, max == 1);
+        if compact == 1 {
+            unit_batch_matches_unit_adds::<LayoutCodes>(shape, &prelude, &buckets, chunk)?;
+        } else {
+            unit_batch_matches_unit_adds::<MergeBitmap>(shape, &prelude, &buckets, chunk)?;
         }
     }
 

@@ -173,6 +173,15 @@ impl Partition {
     }
 }
 
+/// The shard that owns a key with router hash `hash` under
+/// [`Partition::ByKey`]: `hash % shards`.  The producer's routing
+/// ([`ShardedPipeline::shard_of`]) and the live point fast path
+/// ([`LiveHandle::owner_of`]) both call this, so they cannot disagree.
+#[inline]
+pub(crate) fn by_key_shard(hash: u64, shards: usize) -> usize {
+    (hash % shards as u64) as usize
+}
+
 /// Configuration of a [`ShardedPipeline`].
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineConfig {
@@ -253,5 +262,26 @@ impl PipelineConfig {
     pub fn router_seed(mut self, router_seed: u64) -> Self {
         self.router_seed = router_seed;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn by_key_shard_is_the_hash_modulo_the_shard_count() {
+        let router = salsa_hash::BobHash::new(DEFAULT_ROUTER_SEED);
+        for key in 0..20_000u64 {
+            for hash in [router.hash_u64(key), key, u64::MAX - key] {
+                for shards in 1..=8usize {
+                    assert_eq!(
+                        by_key_shard(hash, shards),
+                        (hash % shards as u64) as usize,
+                        "hash {hash:#x} over {shards} shards"
+                    );
+                }
+            }
+        }
     }
 }

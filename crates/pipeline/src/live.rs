@@ -28,7 +28,7 @@ use crate::error::PipelineError;
 use crate::sharded::{Command, ShardProgress, ShardSnapshot};
 use crate::snapshot::{CoverageMeta, SnapshotView};
 use crate::supervisor::{Backoff, ShardHealth, ShardState, SupervisorConfig};
-use crate::{FrequencyQueries, Partition, SnapshotSummary};
+use crate::{by_key_shard, FrequencyQueries, Partition, SnapshotSummary};
 
 /// The live generation's workers as handles reach them: command senders,
 /// published progress, and the health board.  Immutable once published; a
@@ -469,7 +469,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
     }
 
     fn owner(&self, item: u64, shards: usize) -> usize {
-        (self.router.hash_u64(item) % shards as u64) as usize
+        by_key_shard(self.router.hash_u64(item), shards)
     }
 
     /// The shard of the live generation that owns `item`'s entire

@@ -67,7 +67,7 @@ use crate::live::{LiveHandle, Published, WorkerSet};
 use crate::policy::{LoadMonitor, ScalingPolicy};
 use crate::snapshot::SnapshotView;
 use crate::supervisor::{Recovery, ShardHealth, ShardState, SupervisorConfig};
-use crate::{Partition, PipelineConfig, SnapshotSummary};
+use crate::{by_key_shard, Partition, PipelineConfig, SnapshotSummary};
 
 /// How many commands may queue per worker before `push` applies
 /// backpressure.  Small on purpose: it bounds memory, keeps producers from
@@ -691,7 +691,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     #[inline]
     pub fn shard_of(&self, item: u64) -> usize {
         match self.config.partition {
-            Partition::ByKey => (self.router.hash_u64(item) % self.workers.len() as u64) as usize,
+            Partition::ByKey => by_key_shard(self.router.hash_u64(item), self.workers.len()),
             Partition::RoundRobin => self.next_shard,
         }
     }

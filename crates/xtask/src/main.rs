@@ -34,13 +34,15 @@
 //!    test harness as in library code.
 //! 8. **Hot paths justify their allocations** — in the zero-allocation
 //!    hot-path modules (`snapshot.rs`, `live.rs`, the `merge.rs` merge
-//!    impls and the `summary.rs` merge/copy defaults under
+//!    impls, the `summary.rs` merge/copy defaults, and the ingest row
+//!    modules `row.rs`, `bitmap.rs` and `compact.rs` under
 //!    `crates/*/src`), an allocating construct (`Vec::new(`,
 //!    `vec![`, `.to_vec(`, `.clone()`) must carry a `// ALLOC-OK:`
 //!    justification within the three preceding lines.  These modules back
-//!    the steady-state query/merge path, which is supposed to reuse
-//!    buffers (`copy_from` / `merge_with_helper`) — an unjustified
-//!    allocation there is a regression waiting for the alloc gate.
+//!    the steady-state query/merge/ingest path, which is supposed to reuse
+//!    buffers (`copy_from` / `merge_with_helper` / `reset`) — an
+//!    unjustified allocation there is a regression waiting for the alloc
+//!    gate.
 //!
 //! `#[cfg(test)]` modules are skipped (rules 3–6 and 8; rules 1 and 7
 //! apply everywhere).  In tree mode (no file arguments) only
@@ -91,9 +93,17 @@ impl Scope {
     fn for_tree_path(path: &Path) -> Self {
         let normalized = path.to_string_lossy().replace('\\', "/");
         let in_crate = |name: &str| normalized.contains(&format!("crates/{name}/src/"));
-        let hot_module = ["/snapshot.rs", "/live.rs", "/merge.rs", "/summary.rs"]
-            .iter()
-            .any(|name| normalized.ends_with(name));
+        let hot_module = [
+            "/snapshot.rs",
+            "/live.rs",
+            "/merge.rs",
+            "/summary.rs",
+            "/row.rs",
+            "/bitmap.rs",
+            "/compact.rs",
+        ]
+        .iter()
+        .any(|name| normalized.ends_with(name));
         Self {
             relaxed: in_crate("pipeline") || in_crate("metrics") || in_crate("serve"),
             panics: in_crate("pipeline")
@@ -554,6 +564,21 @@ mod tests {
             findings.is_empty(),
             "the tree must lint clean: {findings:#?}"
         );
+    }
+
+    #[test]
+    fn hot_path_scope_covers_the_ingest_row_modules() {
+        for file in [
+            "row.rs",
+            "bitmap.rs",
+            "compact.rs",
+            "snapshot.rs",
+            "live.rs",
+        ] {
+            let path = PathBuf::from(format!("crates/core/src/{file}"));
+            assert!(Scope::for_tree_path(&path).hot_path_alloc, "{file}");
+        }
+        assert!(!Scope::for_tree_path(Path::new("crates/core/src/tango.rs")).hot_path_alloc);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Allocation-discipline gate for the steady-state serving hot path.
+//! Allocation-discipline gate for the steady-state serving and ingest hot
+//! paths.
 //!
 //! The zero-allocation contract (see README "Hot path & allocation
 //! discipline"): once a live pipeline's snapshot arena and a merge
@@ -6,9 +7,11 @@
 //! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) — before and after
 //! the pipeline rescales under the same handle — and helper-based shard
 //! merges into a refreshed destination buffer touch the heap **zero
-//! times**.  This test proves it with a counting `#[global_allocator]`
-//! rather than asserting it from code review: any `Vec` growth, `clone`,
-//! or box sneaking back into the serve/merge path fails the count.
+//! times**; so do batched updates into a warm SALSA CMS (simple and
+//! compact encoding) and resetting it.  This test proves it with a
+//! counting `#[global_allocator]` rather than asserting it from code
+//! review: any `Vec` growth, `clone`, or box sneaking back into the
+//! serve/merge/ingest path fails the count.
 //!
 //! All phases live in one `#[test]` on purpose — the allocation counter
 //! is process-global, so concurrently running test threads would pollute
@@ -70,6 +73,8 @@ const WIDTH: usize = 1 << 12;
 const SEED: u64 = 7;
 const QUERIES: usize = 256;
 const MERGES: usize = 64;
+const INGEST_BATCHES: usize = 256;
+const INGEST_BATCH: usize = 1_024;
 
 fn cms() -> CountMin<SalsaRow> {
     CountMin::salsa(DEPTH, WIDTH, 8, MergeOp::Sum, SEED)
@@ -175,4 +180,41 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     for &item in items.iter().take(64) {
         assert_eq!(dst.estimate(item), reference.estimate(item));
     }
+
+    // --- Phase 4: batched ingest into warm SALSA CMSs, then reset. ---
+    let mut simple = cms();
+    let mut compact = CountMin::salsa_compact(DEPTH, WIDTH, 8, MergeOp::Sum, SEED);
+    let mut batches = items.chunks_exact(INGEST_BATCH).cycle();
+    // Warm-up: the first batch sizes each sketch's bucket scratch.
+    let warm = batches.next().expect("the stream holds a full batch");
+    simple.update_batch(warm);
+    compact.update_batch(warm);
+
+    let before = allocations();
+    for batch in batches.by_ref().take(INGEST_BATCHES) {
+        simple.update_batch(batch);
+    }
+    for batch in batches.by_ref().take(INGEST_BATCHES) {
+        compact.update_batch(batch);
+    }
+    let ingest_allocs = allocations() - before;
+    assert_eq!(
+        ingest_allocs,
+        0,
+        "batched ingest into warm SALSA CMSs must not touch the heap \
+         ({ingest_allocs} allocations across {} batches)",
+        2 * INGEST_BATCHES
+    );
+    assert!(simple.estimate(items[0]) > 0 && compact.estimate(items[0]) > 0);
+
+    let before = allocations();
+    simple.reset();
+    compact.reset();
+    let reset_allocs = allocations() - before;
+    assert_eq!(
+        reset_allocs, 0,
+        "resetting a SALSA CMS must not touch the heap ({reset_allocs} allocations)"
+    );
+    assert_eq!(simple.estimate(items[0]), 0);
+    assert_eq!(compact.estimate(items[0]), 0);
 }
