@@ -95,15 +95,15 @@ impl Row for FixedRow {
     #[inline]
     fn add_unit_batch(&mut self, buckets: &[usize]) {
         // Unit increments never need the general saturating-add path: a
-        // counter below capacity is bumped by exactly one, a saturated one is
-        // left untouched (no write, no branch on the clamped value).
+        // counter below capacity is bumped by exactly one, a saturated one
+        // is rewritten unchanged.  Branch-free: once heavy counters
+        // saturate, a branch on `cur < cap` mispredicts.
         let cap = self.capacity();
         for &bucket in buckets {
             let offset = bucket * self.bits as usize;
             let cur = self.storage.read_aligned(offset, self.bits);
-            if cur < cap {
-                self.storage.write_aligned(offset, self.bits, cur + 1);
-            }
+            self.storage
+                .write_aligned(offset, self.bits, cur + u64::from(cur < cap));
         }
     }
 

@@ -7,10 +7,30 @@
 //! For SALSA rows, every counter of the combined row is at least as large as
 //! in either operand, and combining may itself trigger further merges when
 //! the summed value overflows.
+//!
+//! The SALSA union and difference fold **one storage word at a time**.  A
+//! counter never exceeds 64 bits and is aligned to its own size, so a word
+//! and its merge markers ([`MergeEncoding::word_markers`]) describe every
+//! counter in it.  The OR of the two words' markers is the union layout,
+//! whose counter at each slot is the larger of the operands' counters.
+//! Both words are raised to it in registers, level by level, and then one
+//! broadword add (or a subtract floored at zero) combines all lanes at
+//! once, with the carry cut at each lane's top bit.  Most words already
+//! share a layout and skip the raise.  A union word in which a lane
+//! overflows commits nothing and takes the per-counter path instead
+//! (`force_level_at_least`, then `add`, per counter of the other row), so
+//! the result is byte-identical to the per-counter loop: counters, levels
+//! and merge count.  The kernel is the crate-private `SalsaRow::fold`.
+//! Signed rows keep the per-counter loop: a sign-magnitude lane needs a
+//! sign compare per lane.
+//!
+//! Both operands must have the same shape — width, base width, maximum
+//! counter size and, for unsigned rows, merge op — or the combination
+//! panics, as [`crate::traits::Row::copy_from`] does.
 
 use crate::encoding::MergeEncoding;
 use crate::fixed::{FixedRow, FixedSignedRow};
-use crate::row::{SalsaRow, SalsaSignedRow};
+use crate::row::{Fold, SalsaRow, SalsaSignedRow};
 use crate::traits::{Row, SignedRow};
 
 /// Rows that can be combined counter-wise with another row of the same shape.
@@ -64,48 +84,19 @@ impl RowMerge for FixedSignedRow {
 
 impl<E: MergeEncoding> RowMerge for SalsaRow<E> {
     fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.width(), other.width(), "row widths must match");
-        assert_eq!(
-            self.base_bits(),
-            other.base_bits(),
-            "base widths must match"
-        );
-        for counter in other.counters() {
-            if counter.value == 0 && counter.level == 0 {
-                continue;
-            }
-            // The union counter is at least as large as in either operand.
-            self.force_level_at_least(counter.start, counter.level);
-            self.add(counter.start, counter.value);
-        }
+        self.assert_same_shape(other);
+        self.fold(other, Fold::Union);
     }
 
     fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.width(), other.width(), "row widths must match");
-        assert_eq!(
-            self.base_bits(),
-            other.base_bits(),
-            "base widths must match"
-        );
-        for counter in other.counters() {
-            if counter.value == 0 && counter.level == 0 {
-                continue;
-            }
-            self.force_level_at_least(counter.start, counter.level);
-            let cur = self.read(counter.start);
-            self.set_value(counter.start, cur.saturating_sub(counter.value));
-        }
+        self.assert_same_shape(other);
+        self.fold(other, Fold::Difference);
     }
 }
 
 impl<E: MergeEncoding> RowMerge for SalsaSignedRow<E> {
     fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.width(), other.width(), "row widths must match");
-        assert_eq!(
-            self.base_bits(),
-            other.base_bits(),
-            "base widths must match"
-        );
+        self.assert_same_shape(other);
         for (start, level, value) in other.counters() {
             if value == 0 && level == 0 {
                 continue;
@@ -116,12 +107,7 @@ impl<E: MergeEncoding> RowMerge for SalsaSignedRow<E> {
     }
 
     fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.width(), other.width(), "row widths must match");
-        assert_eq!(
-            self.base_bits(),
-            other.base_bits(),
-            "base widths must match"
-        );
+        self.assert_same_shape(other);
         for (start, level, value) in other.counters() {
             if value == 0 && level == 0 {
                 continue;
@@ -224,5 +210,29 @@ mod tests {
         let mut a = FixedRow::new(8, 32);
         let b = FixedRow::new(16, 32);
         a.absorb(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "merge ops must match")]
+    fn salsa_rows_of_different_merge_ops_do_not_merge() {
+        let mut sum = SimpleSalsaRow::new(16, 8, MergeOp::Sum);
+        let max = SimpleSalsaRow::new(16, 8, MergeOp::Max);
+        sum.absorb(&max);
+    }
+
+    #[test]
+    #[should_panic(expected = "max levels must match")]
+    fn salsa_rows_of_different_max_levels_do_not_merge() {
+        let mut capped = SimpleSalsaRow::with_max_bits(16, 8, MergeOp::Sum, 16);
+        let wide = SimpleSalsaRow::new(16, 8, MergeOp::Sum);
+        capped.subtract(&wide);
+    }
+
+    #[test]
+    #[should_panic(expected = "max levels must match")]
+    fn signed_rows_of_different_max_levels_do_not_merge() {
+        let mut capped = SimpleSalsaSignedRow::with_max_bits(16, 8, 16);
+        let wide = SimpleSalsaSignedRow::new(16, 8);
+        capped.absorb(&wide);
     }
 }

@@ -45,6 +45,168 @@ const SLOT_ALIGN: [usize; 6] = [!0, !1, !3, !7, !15, !31];
 /// `ONES[n]`: a field of `2^n` one bits.
 const ONES: [u64; 7] = [1, 3, 0xF, 0xFF, 0xFFFF, 0xFFFF_FFFF, u64::MAX];
 
+/// The bits `offset .. offset + len` of every `period`-bit group of a word.
+const fn pattern(period: u32, offset: u32, len: u32) -> u64 {
+    let mut mask = 0;
+    let mut bit = 0;
+    while bit < 64 {
+        if bit % period >= offset && bit % period < offset + len {
+            mask |= 1 << bit;
+        }
+        bit += 1;
+    }
+    mask
+}
+
+/// Broadword arithmetic on one storage word of `64/S` base slots of `S`
+/// bits, for the word-parallel fold ([`SalsaRow::fold`]).
+///
+/// Counters never exceed 64 bits and are aligned to their own size, so a
+/// word holds whole counters only, and its merge markers
+/// ([`MergeEncoding::word_markers`]) are its layout: a marker is clear
+/// exactly at the last slot of each counter.  Each counter is a *lane* of
+/// the word, and the top bit of its last slot is the lane's top bit.
+/// Masks indexed by level `k` describe the word's aligned `2^k`-slot
+/// blocks.
+struct WordLanes<const S: u32>;
+
+impl<const S: u32> WordLanes<S> {
+    /// Base slots per storage word.
+    const SLOTS: usize = (64 / S) as usize;
+    /// Levels a counter can reach inside one word: `log₂(64/S)`.
+    const LEVELS: usize = (64 / S).trailing_zeros() as usize;
+    /// The lowest bit of every slot.
+    const LOW: u64 = pattern(S, 0, 1);
+    /// `SPREAD[j]`: where [`Self::spread`]'s marker bits may lie once its
+    /// steps down to `j` are done — the first `2^j` bits of every
+    /// `S·2^j`-bit group.
+    const SPREAD: [u64; 5] = {
+        let mut masks = [0; 5];
+        let mut j = 0;
+        while j < Self::LEVELS {
+            masks[j] = pattern(S << j, 0, 1 << j);
+            j += 1;
+        }
+        masks
+    };
+    /// `MID[k]`: the lowest bit of every level-`k` block's marker slot,
+    /// the last slot of its lower half.  In a valid layout the block is
+    /// one counter, or inside one, iff that marker is set.
+    const MID: [u64; 6] = Self::per_level(0);
+    /// `LOWER[k]`: the lower half of every level-`k` block.
+    const LOWER: [u64; 6] = Self::per_level(1);
+    /// `GUARD[k]`: the bit just above the lower half of every level-`k`
+    /// block.
+    const GUARD: [u64; 6] = Self::per_level(2);
+
+    /// One mask per level `k ≥ 1`, over every level-`k` block, whose
+    /// halves have `h = S·2^(k−1)` bits: `MID` (`which` 0), `LOWER` (1)
+    /// or `GUARD` (2).
+    const fn per_level(which: u8) -> [u64; 6] {
+        let mut masks = [0; 6];
+        let mut k = 1;
+        while k <= Self::LEVELS {
+            let h = S << (k - 1);
+            let (offset, len) = match which {
+                0 => (h - S, 1),
+                1 => (0, h),
+                _ => (h, 1),
+            };
+            masks[k] = pattern(S << k, offset, len);
+            k += 1;
+        }
+        masks
+    }
+
+    /// Moves marker bit `i` to bit `i·S`, the lowest bit of slot `i`: one
+    /// shift-or-mask step per level, coarsest first.
+    #[inline(always)]
+    fn spread(markers: u64) -> u64 {
+        let mut bits = markers;
+        let mut j = Self::LEVELS;
+        while j > 0 {
+            j -= 1;
+            bits = (bits | bits << ((S - 1) << j)) & Self::SPREAD[j];
+        }
+        bits
+    }
+
+    /// The top bit of every lane of the layout whose markers spread to
+    /// `layout`: the top bit of each slot whose marker is clear.
+    #[inline(always)]
+    fn tops(layout: u64) -> u64 {
+        (!layout & Self::LOW) << (S - 1)
+    }
+
+    /// The lowest bit of every level-`k` block that the layout `union`
+    /// merges and the finer layout `own` does not (both spread markers).
+    #[inline(always)]
+    fn merged_blocks(own: u64, union: u64, k: usize) -> u64 {
+        (union & !own & Self::MID[k]) >> ((S << (k - 1)) - S)
+    }
+
+    /// Raises word `z`, whose layout spreads to `own`, to the coarser
+    /// layout `union`: level by level, every block that `union` merges and
+    /// `own` does not becomes one lane holding its halves' sum, or their
+    /// maximum if `max` — the value `merge_up` gives it.  Both halves are
+    /// already lanes of the level below, and the result fits the block.
+    #[inline(always)]
+    fn raise(mut z: u64, own: u64, union: u64, max: bool) -> u64 {
+        for k in 1..=Self::LEVELS {
+            let half = S << (k - 1);
+            let starts = Self::merged_blocks(own, union, k);
+            let lo = z & Self::LOWER[k];
+            let hi = z >> half & Self::LOWER[k];
+            let lane = if max {
+                // lo ≥ hi iff the guard bit above lo survives lo − hi.
+                let ge = ((lo | Self::GUARD[k]) - hi) & Self::GUARD[k];
+                let pick_lo = ge - (ge >> half);
+                (lo & pick_lo) | (hi & !pick_lo)
+            } else {
+                lo + hi
+            };
+            let block = starts.wrapping_mul(u64::MAX >> (64 - 2 * half));
+            z = (z & !block) | (lane & block);
+        }
+        z
+    }
+
+    /// Adds `y`'s lanes to `x`'s, where `tops` holds every lane's top bit.
+    /// Returns the sum and the top bit of every lane that overflowed.
+    #[inline(always)]
+    fn add(x: u64, y: u64, tops: u64) -> (u64, u64) {
+        let low = (x & !tops) + (y & !tops);
+        let sum = low ^ ((x ^ y) & tops);
+        (sum, ((x & y) | ((x | y) & !sum)) & tops)
+    }
+
+    /// `x − y` in every lane of `layout` (spread markers; `tops` its lanes'
+    /// top bits), floored at zero.
+    #[inline(always)]
+    fn sub_saturating(x: u64, y: u64, layout: u64, tops: u64) -> u64 {
+        let diff = ((x | tops) - (y & !tops)) ^ ((x ^ !y) & tops);
+        let borrow = ((!x & y) | ((!x | y) & diff)) & tops;
+        // Widen each borrowing lane's top bit to its whole field: over its
+        // slot, then into the lower half of each block the layout merges.
+        let mut floor = borrow | (borrow - (borrow >> (S - 1)));
+        for k in 1..=Self::LEVELS {
+            let half = S << (k - 1);
+            let lower = Self::merged_blocks(0, layout, k).wrapping_mul((1 << half) - 1);
+            floor |= floor >> half & lower;
+        }
+        diff & !floor
+    }
+}
+
+/// How [`SalsaRow::fold`] combines two rows counter-wise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fold {
+    /// `self + other`: each union counter takes the sum.
+    Union,
+    /// `self − other`, floored at zero per counter.
+    Difference,
+}
+
 /// A logical counter inside a SALSA row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter {
@@ -375,6 +537,146 @@ impl<E: MergeEncoding> SalsaRow<E> {
         }
         None
     }
+
+    /// Panics unless `other` has this row's shape — width, base width,
+    /// maximum level and merge op — as every counter-wise combination and
+    /// [`Row::copy_from`] require.
+    pub(crate) fn assert_same_shape(&self, other: &Self) {
+        assert_eq!(self.width, other.width, "row widths must match");
+        assert_eq!(self.base_bits, other.base_bits, "base widths must match");
+        assert_eq!(self.max_level, other.max_level, "max levels must match");
+        assert_eq!(self.merge_op, other.merge_op, "merge ops must match");
+    }
+
+    /// Combines `other` into this row counter-wise, one storage word at a
+    /// time: the word-parallel body of `RowMerge::{absorb, subtract}`.
+    /// The row ends exactly as the per-counter loop leaves it: for each of
+    /// `other`'s counters `c` (skipping zero base counters),
+    /// `force_level_at_least(c.start, c.level)`, then `add(c.start,
+    /// c.value)` for a union, or `set_value` to the current value minus
+    /// `c.value`, floored at zero, for a difference.  Both rows must have
+    /// the same shape ([`SalsaRow::assert_same_shape`]).
+    ///
+    /// Per storage word, with `x`, `y` the two rows' words:
+    ///
+    /// * **Empty.** A `y` with no merged counter and no count adds nothing.
+    /// * **Raise.** The union layout `M` — the OR of both words' markers —
+    ///   gives every slot the larger of the two counters holding it.  Each
+    ///   operand is raised to `M` in registers, level by level: a block
+    ///   that `M` merges and the operand does not becomes one lane holding
+    ///   its halves combined — under the row's [`MergeOp`] for `x`, as
+    ///   `merge_up` combines, and summed for `y`, whose sub-counters the
+    ///   loop adds one by one.  Equal layouts (most words) skip this.
+    /// * **Combine.** One broadword add on `M`'s lanes, with the carry cut
+    ///   at each lane's top bit, or a lane-wise subtract floored at zero.
+    /// * **Commit.** Store the word, mark this row's newly merged counters
+    ///   and count the merges: one `merge_up` per level between this row's
+    ///   level at a union counter's first slot and the counter's level, as
+    ///   `force_level_at_least` makes them.  A union in which some lane
+    ///   overflows commits nothing and runs the per-counter loop over that
+    ///   word instead: its overflow merges may reach beyond `M`.  A
+    ///   difference never overflows.
+    pub(crate) fn fold(&mut self, other: &Self, fold: Fold) {
+        match self.base_bits {
+            2 => self.fold_words::<2>(other, fold),
+            4 => self.fold_words::<4>(other, fold),
+            8 => self.fold_words::<8>(other, fold),
+            16 => self.fold_words::<16>(other, fold),
+            32 => self.fold_words::<32>(other, fold),
+            _ => self.fold_words::<64>(other, fold),
+        }
+    }
+
+    /// [`SalsaRow::fold`] for base counters of `S` bits.
+    fn fold_words<const S: u32>(&mut self, other: &Self, fold: Fold) {
+        let max = self.merge_op == MergeOp::Max;
+        for w in 0..self.storage.words().len() {
+            let first = w * WordLanes::<S>::SLOTS;
+            let y = other.storage.words()[w];
+            let my = other.word_layout::<S>(first);
+            if y == 0 && my == 0 {
+                continue;
+            }
+            let x = self.storage.words()[w];
+            let mx = self.word_layout::<S>(first);
+            let own = WordLanes::<S>::spread(mx);
+            let (mut xs, mut ys, mut union) = (x, y, own);
+            if mx != my {
+                let theirs = WordLanes::<S>::spread(my);
+                union = own | theirs;
+                xs = WordLanes::<S>::raise(x, own, union, max);
+                ys = WordLanes::<S>::raise(y, theirs, union, false);
+            }
+            let tops = WordLanes::<S>::tops(union);
+            let word = match fold {
+                Fold::Union => {
+                    let (sum, overflow) = WordLanes::<S>::add(xs, ys, tops);
+                    if overflow != 0 {
+                        let end = (first + WordLanes::<S>::SLOTS).min(self.width);
+                        self.absorb_counters(other, first, end);
+                        continue;
+                    }
+                    sum
+                }
+                Fold::Difference => WordLanes::<S>::sub_saturating(xs, ys, union, tops),
+            };
+            self.storage.words_mut()[w] = word;
+            if mx != my {
+                self.commit_merges::<S>(first, own, union, tops);
+            }
+        }
+    }
+
+    /// The merge markers of the storage word holding slots `first ..
+    /// first + 64/S` (none for 64-bit base counters, which never merge).
+    #[inline(always)]
+    fn word_layout<const S: u32>(&self, first: usize) -> u64 {
+        if WordLanes::<S>::LEVELS == 0 {
+            0
+        } else {
+            self.encoding.word_markers(first, WordLanes::<S>::SLOTS)
+        }
+    }
+
+    /// Records the merges of a committed word fold at slot `first`, which
+    /// raised this row's layout `own` to `union`, whose lanes' top bits
+    /// are `tops` (see [`WordLanes`]).  Counts one merge per level per
+    /// union counter, at the blocks starting where it starts, and marks
+    /// each newly merged counter once, at its own level: the largest
+    /// merged block holding it.
+    fn commit_merges<const S: u32>(&mut self, first: usize, own: u64, union: u64, tops: u64) {
+        // The lowest bit of every union counter: just above each top.
+        let starts = tops << 1 | 1;
+        let mut covered = 0;
+        for k in (1..=WordLanes::<S>::LEVELS).rev() {
+            let merged = WordLanes::<S>::merged_blocks(own, union, k);
+            self.merge_events += u64::from((merged & starts).count_ones());
+            let mut counters = merged & !covered;
+            covered |= merged.wrapping_mul(u64::MAX >> (64 - (S << k)));
+            while counters != 0 {
+                let slot = (counters.trailing_zeros() / S) as usize;
+                self.encoding.mark_merged(first + slot, k as u32);
+                counters &= counters - 1;
+            }
+        }
+    }
+
+    /// The per-counter union of `other`'s counters in slots `first .. end`
+    /// into this row: the fallback of a word whose union overflows.
+    fn absorb_counters(&mut self, other: &Self, first: usize, end: usize) {
+        let mut idx = first;
+        while idx < end {
+            let level = other.level_of(idx);
+            let value = other.read_at_level(idx, level);
+            if value != 0 || level != 0 {
+                // The union counter is at least as large as in either
+                // operand.
+                self.force_level_at_least(idx, level);
+                self.add(idx, value);
+            }
+            idx += 1 << level;
+        }
+    }
 }
 
 impl<E: MergeEncoding> Row for SalsaRow<E> {
@@ -389,8 +691,9 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
         self.read_at_level(idx, level)
     }
 
-    // The per-item ingest step: without the hint, whether it is inlined
-    // into `update_batch` flips with unrelated call-graph changes.
+    // Weighted per-item updates (`CountMin::update`) and the word fold's
+    // overflow fallback call this; batched unit ingest (`update_batch`)
+    // takes `add_unit_batch` and never reaches it.
     #[inline]
     fn add(&mut self, idx: usize, value: u64) {
         if value == 0 {
@@ -439,10 +742,9 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
     /// Word-local unit adds (`SalsaRow::add_units`).  A counter that
     /// overflows takes `add`'s own overflow step, `merge_up`, and the unit
     /// is retried on the merged counter, which has room for it: the row
-    /// ends exactly as after `add(b, 1)` per bucket.  Calling `add` itself
-    /// here would give it a second caller next to `RowMerge::absorb`, and
-    /// the compiler then stops inlining it into the snapshot fold.  The
-    /// base width is matched once per run of fast adds, not per item.
+    /// ends exactly as after `add(b, 1)` per bucket.  The retry re-enters
+    /// the word-local loop, so a unit never runs `add`'s general path.
+    /// The base width is matched once per run of fast adds, not per item.
     fn add_unit_batch(&mut self, buckets: &[usize]) {
         let mut rest = buckets;
         loop {
@@ -492,10 +794,7 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
     }
 
     fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.width, src.width, "row widths must match");
-        assert_eq!(self.base_bits, src.base_bits, "base widths must match");
-        assert_eq!(self.max_level, src.max_level, "max levels must match");
-        assert_eq!(self.merge_op, src.merge_op, "merge ops must match");
+        self.assert_same_shape(src);
         self.storage.copy_from(&src.storage);
         self.encoding.copy_from(&src.encoding);
         self.merge_events = src.merge_events;
@@ -659,6 +958,15 @@ impl<E: MergeEncoding> SalsaSignedRow<E> {
         }
     }
 
+    /// Panics unless `other` has this row's shape — width, base width and
+    /// maximum level — as every counter-wise combination and
+    /// [`SignedRow::copy_from`] require.
+    pub(crate) fn assert_same_shape(&self, other: &Self) {
+        assert_eq!(self.width, other.width, "row widths must match");
+        assert_eq!(self.base_bits, other.base_bits, "base widths must match");
+        assert_eq!(self.max_level, other.max_level, "max levels must match");
+    }
+
     /// Overwrites the counter containing `idx` with `value`, merging first if
     /// the magnitude does not fit the counter's current width.
     pub fn set_value(&mut self, idx: usize, value: i64) {
@@ -733,9 +1041,7 @@ impl<E: MergeEncoding> SignedRow for SalsaSignedRow<E> {
     }
 
     fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.width, src.width, "row widths must match");
-        assert_eq!(self.base_bits, src.base_bits, "base widths must match");
-        assert_eq!(self.max_level, src.max_level, "max levels must match");
+        self.assert_same_shape(src);
         self.storage.copy_from(&src.storage);
         self.encoding.copy_from(&src.encoding);
         self.merge_events = src.merge_events;

@@ -15,7 +15,9 @@
 //! * sign-magnitude signed rows track exact signed sums;
 //! * a SALSA row's word-local `add_unit_batch` leaves the row byte-identical
 //!   to one `add(b, 1)` per bucket, for every base width, encoding, merge
-//!   op and maximum counter size.
+//!   op and maximum counter size;
+//! * a SALSA row's word-parallel `absorb` and `subtract` leave the row
+//!   byte-identical to the per-counter loops, over the same shapes.
 
 use proptest::prelude::*;
 use salsa_core::prelude::*;
@@ -67,25 +69,33 @@ impl Shape {
     }
 }
 
+/// A row of `shape` after a weighted `prelude`: each `(idx, level,
+/// below)` adds to slot `idx` what parks its counter `below` units under
+/// the capacity of `level` (at least one unit), so later adds overflow
+/// (or saturate) there.
+fn parked_row<E: MergeEncoding>(shape: Shape, prelude: &[(usize, u32, u64)]) -> SalsaRow<E> {
+    let mut row =
+        SalsaRow::<E>::with_max_bits(UNIT_WIDTH, shape.base_bits, shape.op, shape.max_bits);
+    for &(idx, level, below) in prelude {
+        let level = level.min(row.max_level());
+        let capacity = u64::MAX >> (64 - (shape.base_bits << level));
+        let headroom = capacity.saturating_sub(row.read(idx).saturating_add(below));
+        row.add(idx, headroom.max(1));
+    }
+    row
+}
+
 /// Checks that `add_unit_batch` over `buckets` (in `chunk`-sized batches)
 /// leaves a row exactly as one `add(b, 1)` per bucket does — every
 /// counter, every slot's level and the merge count — after both rows got
-/// the same weighted `prelude`, which parks counters just below the
-/// capacity of a chosen level so the units overflow (or saturate) there.
+/// the same weighted `prelude` ([`parked_row`]).
 fn unit_batch_matches_unit_adds<E: MergeEncoding>(
     shape: Shape,
     prelude: &[(usize, u32, u64)],
     buckets: &[usize],
     chunk: usize,
 ) -> Result<(), TestCaseError> {
-    let mut batched =
-        SalsaRow::<E>::with_max_bits(UNIT_WIDTH, shape.base_bits, shape.op, shape.max_bits);
-    for &(idx, level, below) in prelude {
-        let level = level.min(batched.max_level());
-        let capacity = u64::MAX >> (64 - (shape.base_bits << level));
-        let headroom = capacity.saturating_sub(batched.read(idx).saturating_add(below));
-        batched.add(idx, headroom.max(1));
-    }
+    let mut batched = parked_row::<E>(shape, prelude);
     let mut looped = batched.clone();
     for batch in buckets.chunks(chunk) {
         batched.add_unit_batch(batch);
@@ -109,6 +119,111 @@ fn unit_batch_matches_unit_adds<E: MergeEncoding>(
         );
     }
     prop_assert_eq!(batched.merge_events(), looped.merge_events(), "{:?}", shape);
+    Ok(())
+}
+
+/// Asserts that two rows hold the same counters, levels and merge count.
+fn assert_rows_identical<E: MergeEncoding>(
+    folded: &SalsaRow<E>,
+    looped: &SalsaRow<E>,
+    what: &str,
+    shape: Shape,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        folded.counters().collect::<Vec<_>>(),
+        looped.counters().collect::<Vec<_>>(),
+        "{} {:?}",
+        what,
+        shape
+    );
+    for idx in 0..UNIT_WIDTH {
+        prop_assert_eq!(
+            folded.level_of(idx),
+            looped.level_of(idx),
+            "{} slot {} {:?}",
+            what,
+            idx,
+            shape
+        );
+    }
+    prop_assert_eq!(
+        folded.merge_events(),
+        looped.merge_events(),
+        "{} {:?}",
+        what,
+        shape
+    );
+    Ok(())
+}
+
+/// The per-counter union, from public API: for each of `other`'s counters
+/// (skipping zero base counters), raise `row`'s counter to its level and
+/// add its value.
+fn absorb_per_counter<E: MergeEncoding>(row: &mut SalsaRow<E>, other: &SalsaRow<E>) {
+    for c in other.counters() {
+        if c.value == 0 && c.level == 0 {
+            continue;
+        }
+        row.force_level_at_least(c.start, c.level);
+        row.add(c.start, c.value);
+    }
+}
+
+/// The per-counter difference, from public API: as
+/// [`absorb_per_counter`], but subtracting each value, floored at zero.
+fn subtract_per_counter<E: MergeEncoding>(row: &mut SalsaRow<E>, other: &SalsaRow<E>) {
+    for c in other.counters() {
+        if c.value == 0 && c.level == 0 {
+            continue;
+        }
+        row.force_level_at_least(c.start, c.level);
+        let cur = row.read(c.start);
+        row.set_value(c.start, cur.saturating_sub(c.value));
+    }
+}
+
+/// Checks that the word-parallel `absorb` and `subtract` leave a row
+/// exactly as the per-counter loops do, for two operands `a`, `b` each
+/// built from its own weighted prelude ([`parked_row`]) and skewed unit
+/// adds: `a + b`, `a − b` and `(a + b) − b`, and `a ± 0b`, where `0b` is
+/// `b` with every count subtracted away — merged counters holding zero,
+/// which adds alone never leave.
+fn word_fold_matches_counter_loop<E: MergeEncoding>(
+    shape: Shape,
+    preludes: &[Vec<(usize, u32, u64)>],
+    buckets: &[Vec<usize>],
+) -> Result<(), TestCaseError> {
+    let [a, b] = [0, 1].map(|i| {
+        let mut row = parked_row::<E>(shape, &preludes[i]);
+        row.add_unit_batch(&buckets[i]);
+        row
+    });
+    let mut zeroed = b.clone();
+    subtract_per_counter(&mut zeroed, &b);
+
+    let mut union = a.clone();
+    union.absorb(&b);
+    let mut looped = a.clone();
+    absorb_per_counter(&mut looped, &b);
+    assert_rows_identical(&union, &looped, "a + b", shape)?;
+
+    let mut folded = a.clone();
+    folded.absorb(&zeroed);
+    let mut looped = a.clone();
+    absorb_per_counter(&mut looped, &zeroed);
+    assert_rows_identical(&folded, &looped, "a + 0b", shape)?;
+
+    for (minuend, subtrahend, what) in [
+        (&a, &b, "a - b"),
+        (&union, &b, "(a + b) - b"),
+        (&a, &zeroed, "a - 0b"),
+    ] {
+        let mut difference = minuend.clone();
+        difference.subtract(subtrahend);
+        let mut looped = minuend.clone();
+        subtract_per_counter(&mut looped, subtrahend);
+        assert_rows_identical(&difference, &looped, what, shape)?;
+    }
     Ok(())
 }
 
@@ -249,6 +364,47 @@ proptest! {
         let sums = slot_sums(&updates);
         for idx in 0..WIDTH {
             prop_assert_eq!(row.read(idx), sums[idx].min(255));
+        }
+    }
+}
+
+proptest! {
+    // Most words of a case fold on the same-layout path; more cases give
+    // the raised and overflowing words thousands of occurrences.
+    #![proptest_config(ProptestConfig::with_cases(1_024))]
+
+    #[test]
+    fn salsa_word_fold_is_byte_identical_to_counter_loop(
+        shape in (0..6u32, 0..6u32, 0..2u8, 0..2u8),
+        preludes in prop::collection::vec(
+            prop::collection::vec((0..UNIT_WIDTH, 0..6u32, 0..4u64), 0..24),
+            2..3,
+        ),
+        draws in prop::collection::vec(
+            prop::collection::vec((0..UNIT_WIDTH, 0..4u32), 0..1_500),
+            2..3,
+        ),
+        mirrored in 0..4usize
+    ) {
+        // Skewed buckets, as in the unit-batch property: an operand's low
+        // slots take most of its stream, or its high ones if mirrored, so
+        // the operands merge in the same places or in different ones,
+        // while the parked counters overflow the union at every level and
+        // saturate at the maximum one.
+        let buckets: Vec<Vec<usize>> = draws
+            .iter()
+            .enumerate()
+            .map(|(i, draws)| {
+                let mirror = if mirrored >> i & 1 == 1 { UNIT_WIDTH - 1 } else { 0 };
+                draws.iter().map(|&(slot, heat)| mirror ^ slot >> (2 * heat)).collect()
+            })
+            .collect();
+        let (base, extra, max, compact) = shape;
+        let shape = Shape::new(base, extra, max == 1);
+        if compact == 1 {
+            word_fold_matches_counter_loop::<LayoutCodes>(shape, &preludes, &buckets)?;
+        } else {
+            word_fold_matches_counter_loop::<MergeBitmap>(shape, &preludes, &buckets)?;
         }
     }
 }

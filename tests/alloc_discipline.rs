@@ -6,9 +6,10 @@
 //! helper's scratch are warm, point queries served through
 //! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) — before and after
 //! the pipeline rescales under the same handle — and helper-based shard
-//! merges into a refreshed destination buffer touch the heap **zero
-//! times**; so do batched updates into a warm SALSA CMS (simple and
-//! compact encoding) and resetting it.  This test proves it with a
+//! merges (simple and compact encoding) and subtractions into a refreshed
+//! destination buffer touch the heap **zero times**; so do batched
+//! updates into a warm SALSA CMS (simple and compact encoding) and
+//! resetting it.  This test proves it with a
 //! counting `#[global_allocator]` rather than asserting it from code
 //! review: any `Vec` growth, `clone`, or box sneaking back into the
 //! serve/merge/ingest path fails the count.
@@ -80,6 +81,10 @@ fn cms() -> CountMin<SalsaRow> {
     CountMin::salsa(DEPTH, WIDTH, 8, MergeOp::Sum, SEED)
 }
 
+fn compact_cms() -> CountMin<SalsaRow<LayoutCodes>> {
+    CountMin::salsa_compact(DEPTH, WIDTH, 8, MergeOp::Sum, SEED)
+}
+
 #[test]
 fn steady_state_queries_and_merges_do_not_allocate() {
     let items = TraceSpec::Zipf {
@@ -145,7 +150,8 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     let out = pipeline.finish();
     assert_eq!(out.items as usize, items.len());
 
-    // --- Phase 3: helper-based shard merges into a warm destination. ---
+    // --- Phase 3: helper-based shard merges, and subtractions, into a
+    // warm destination. ---
     let (left, right) = items.split_at(items.len() / 2);
     let mut base = cms();
     let mut other = cms();
@@ -181,9 +187,61 @@ fn steady_state_queries_and_merges_do_not_allocate() {
         assert_eq!(dst.estimate(item), reference.estimate(item));
     }
 
+    // The same cycle over compact-encoding sketches, whose word fold marks
+    // newly merged counters in the layout codes.
+    let mut compact_base = compact_cms();
+    let mut compact_other = compact_cms();
+    for &item in left {
+        compact_base.update(item, 1);
+    }
+    for &item in right {
+        compact_other.update(item, 1);
+    }
+    let mut compact_dst = compact_base.clone();
+    compact_dst.merge_with_helper(&compact_other, &mut helper);
+
+    let before = allocations();
+    for _ in 0..MERGES {
+        compact_dst.copy_from(&compact_base);
+        compact_dst.merge_with_helper(&compact_other, &mut helper);
+    }
+    let compact_allocs = allocations() - before;
+    assert_eq!(
+        compact_allocs, 0,
+        "helper-based compact-encoding merges into a warm buffer must not \
+         touch the heap ({compact_allocs} allocations across {MERGES} merges)"
+    );
+    let mut compact_reference = compact_base.clone();
+    compact_reference.merge_from(&compact_other);
+    for &item in items.iter().take(64) {
+        assert_eq!(compact_dst.estimate(item), compact_reference.estimate(item));
+    }
+
+    // Refresh-and-subtract cycles: the union minus one operand, folded
+    // into the warm destination.
+    dst.copy_from(&reference);
+    dst.subtract(&other);
+
+    let before = allocations();
+    for _ in 0..MERGES {
+        dst.copy_from(&reference);
+        dst.subtract(&other);
+    }
+    let subtract_allocs = allocations() - before;
+    assert_eq!(
+        subtract_allocs, 0,
+        "subtracting into a warm buffer must not touch the heap \
+         ({subtract_allocs} allocations across {MERGES} subtractions)"
+    );
+    let mut difference = reference.clone();
+    difference.subtract(&other);
+    for &item in items.iter().take(64) {
+        assert_eq!(dst.estimate(item), difference.estimate(item));
+    }
+
     // --- Phase 4: batched ingest into warm SALSA CMSs, then reset. ---
     let mut simple = cms();
-    let mut compact = CountMin::salsa_compact(DEPTH, WIDTH, 8, MergeOp::Sum, SEED);
+    let mut compact = compact_cms();
     let mut batches = items.chunks_exact(INGEST_BATCH).cycle();
     // Warm-up: the first batch sizes each sketch's bucket scratch.
     let warm = batches.next().expect("the stream holds a full batch");
