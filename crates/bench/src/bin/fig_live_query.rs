@@ -22,10 +22,11 @@
 //!   staleness: acknowledged updates missing from a served view, and the
 //!   view's age when the query finished using it;
 //! * `allocs_per_query` — heap allocations per steady-state point query
-//!   served through the [`salsa_pipeline::CachedSnapshots`] layer, counted
-//!   by this binary's `#[global_allocator]` with ingest quiesced and the
-//!   cache warm.  The whole point of the arena/helper machinery is that
-//!   this stays at exactly zero; `compare_bench` gates it lower-is-better.
+//!   served through the serve path's view cache (a zero-window
+//!   [`salsa_serve::Coalescer`]), counted by this binary's
+//!   `#[global_allocator]` with ingest quiesced and the cache warm.  The
+//!   whole point of the arena/helper machinery is that this stays at
+//!   exactly zero; `compare_bench` gates it lower-is-better.
 //!
 //! Output columns:
 //! `qps,queries,ingest_mops,p50_query_ms,p99_query_ms,max_staleness_items,max_staleness_ms,allocs_per_query`.
@@ -40,8 +41,9 @@ use std::time::{Duration, Instant};
 
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
-use salsa_metrics::{mops_for, LatencySeries, StalenessTracker};
-use salsa_pipeline::{CachePolicy, PipelineConfig, ShardedPipeline, SnapshotSummary};
+use salsa_metrics::{mops_for, CacheGauges, LatencySeries, ServeCounters, StalenessTracker};
+use salsa_pipeline::{PipelineConfig, ShardedPipeline, SnapshotSummary};
+use salsa_serve::{CachePolicy, Coalescer};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -114,20 +116,24 @@ where
     S: SnapshotSummary + salsa_pipeline::FrequencyQueries,
 {
     const QUERIES: u64 = 512;
-    let cached = handle
-        .clone()
-        .cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
+    let cached = Coalescer::new(
+        handle.clone(),
+        CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
+        Duration::ZERO,
+        Arc::new(ServeCounters::new()),
+        Arc::new(CacheGauges::new()),
+    );
     let mut sink = 0i64;
     // Warm-up: the first snapshot assembles (and allocates) the cached
     // view; later queries are expected to reuse it allocation-free.
     for &item in candidates.iter().take(8) {
-        let view = cached.snapshot().expect("pipeline is still live");
+        let view = cached.view().expect("pipeline is still live");
         sink ^= view.estimate(item);
     }
     let before = heap_allocations();
     for i in 0..QUERIES {
         let item = candidates[i as usize % candidates.len()];
-        let view = cached.snapshot().expect("pipeline is still live");
+        let view = cached.view().expect("pipeline is still live");
         sink ^= view.estimate(item);
     }
     let allocs = heap_allocations() - before;

@@ -15,13 +15,13 @@
 //! * `subscribe` — four push-mode subscribers at a fixed cadence while
 //!   ingest continues; `serve_qps` counts delivered updates per second
 //!   (cadence-bound, so it doubles as a liveness gate);
-//! * `alloc` — ingest quiesced, snapshot cache warm with an effectively
-//!   infinite policy: `allocs_per_query` counts heap allocations per
-//!   steady-state point query across the *whole* process (client encode,
-//!   server decode, coalescer, estimate, response) using this binary's
-//!   `#[global_allocator]`, exactly as `fig_live_query` does.  The
-//!   serve path's promise is that this is exactly zero; `compare_bench`
-//!   gates it absolutely against the zero baseline.
+//! * `alloc` — ingest quiesced, the coalescer's cached view warm under
+//!   an effectively infinite policy: `allocs_per_query` counts heap
+//!   allocations per steady-state point query across the *whole* process
+//!   (client encode, server decode, coalescer, estimate, response) using
+//!   this binary's `#[global_allocator]`, exactly as `fig_live_query`
+//!   does.  The serve path's promise is that this is exactly zero;
+//!   `compare_bench` gates it absolutely against the zero baseline.
 //!
 //! Output columns:
 //! `mode,clients,queries,serve_qps,p50_query_ms,p99_query_ms,coalesced_share,allocs_per_query`
@@ -41,8 +41,8 @@ use std::time::{Duration, Instant};
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
 use salsa_metrics::LatencySeries;
-use salsa_pipeline::{CachePolicy, PipelineConfig, ShardedPipeline};
-use salsa_serve::{serve, QueryClient, ServeConfig};
+use salsa_pipeline::{PipelineConfig, ShardedPipeline};
+use salsa_serve::{serve, CachePolicy, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -253,10 +253,10 @@ fn run_subscribe_lane(items: &[u64], seed: u64, min_secs: f64) -> Point {
 }
 
 /// Lane 3: the allocation discipline, measured process-wide.  Ingest is
-/// quiesced and the snapshot cache warm under an effectively infinite
-/// policy, so the counter isolates the steady-state serve path: client
-/// encode → server frame read → decode → admission → coalesced cache hit
-/// → point estimate → response encode → client decode.
+/// quiesced and the coalescer's cached view warm under an effectively
+/// infinite policy, so the counter isolates the steady-state serve path:
+/// client encode → server frame read → decode → admission → coalesced
+/// cache hit → point estimate → response encode → client decode.
 fn run_alloc_lane(items: &[u64], seed: u64) -> Point {
     const QUERIES: u64 = 512;
     let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_sketch(seed));

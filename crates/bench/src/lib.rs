@@ -1,7 +1,10 @@
 //! # salsa-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (see `DESIGN.md` for the
-//! experiment index and `EXPERIMENTS.md` for paper-vs-measured results).
+//! One binary per figure of the paper's evaluation; README "Regenerating a
+//! paper figure" says how to run them.  No record of the paper's numbers
+//! against the measured ones exists yet: the binaries print CSV, and
+//! nothing asserts a figure's claim (ROADMAP, "The paper's claims as
+//! deterministic tests").
 //!
 //! Every binary prints CSV to stdout (one row per plotted point) and accepts
 //! the same flags:

@@ -27,7 +27,7 @@
 //!   snapshots, timeouts, dropped items);
 //! * serving-layer metrics ([`serve::ServeCounters`],
 //!   [`serve::CacheGauges`]) recorded by the network query frontend's
-//!   admission/coalescing layers and the snapshot cache.
+//!   admission layer and its coalescing view cache.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Serving-layer metrics: admission counters and snapshot-cache gauges.
+//! Serving-layer metrics: admission counters and view-cache counters.
 //!
 //! The network query frontend (`salsa-serve`) is the first consumer of the
 //! pipeline that lives *outside* the process that owns the ingest loop, so
@@ -7,13 +7,11 @@
 //! [`HealthCounters`](crate::health::HealthCounters): lock-free shared
 //! cells behind an `Arc`, written on the serve path without blocking it and
 //! readable by exporters, benches and tests.  [`ServeCounters`] counts the
-//! admission/coalescing events the server emits; [`CacheGauges`] mirrors
-//! the snapshot cache's hit/miss counters (which are otherwise readable
-//! only through the owning `CachedSnapshots` handle) so cache
+//! admission/coalescing events the server emits; [`CacheGauges`] counts the
+//! view cache's hits and misses, written by the cache itself, so cache
 //! effectiveness can be reported next to the load gauges.
 
 use crate::health::Counter;
-use crate::load::Gauge;
 
 /// The admission and coalescing events a query server records.  Share one
 /// instance (behind an `Arc`) between the server and whoever watches it.
@@ -44,22 +42,19 @@ impl ServeCounters {
     }
 }
 
-/// Snapshot-cache effectiveness, published by the cache layer itself.
-///
-/// `CachedSnapshots` (in `salsa-pipeline`) keeps hit/miss counts
-/// internally; wiring a `CacheGauges` into it mirrors those counts here on
-/// every lookup, so the serve layer and the perf harness can report the
-/// cache's hit rate without holding the cache handle.
+/// View-cache effectiveness: the coalescer in `salsa-serve` counts each
+/// fetch round here as one hit or one miss, so the server and the perf
+/// harness can report the cache's hit rate without holding the cache.
 #[derive(Debug, Default)]
 pub struct CacheGauges {
-    /// Queries served from the cached view, across all cache clones.
-    pub hits: Gauge,
-    /// Queries that had to assemble a fresh view, across all cache clones.
-    pub misses: Gauge,
+    /// Fetch rounds that re-served the cached view.
+    pub hits: Counter,
+    /// Fetch rounds that assembled a fresh view.
+    pub misses: Counter,
 }
 
 impl CacheGauges {
-    /// Fresh gauges, both reading `0.0`.
+    /// Fresh counters, both reading `0`.
     pub fn new() -> Self {
         Self::default()
     }
@@ -69,10 +64,10 @@ impl CacheGauges {
     pub fn hit_rate(&self) -> f64 {
         let hits = self.hits.get();
         let total = hits + self.misses.get();
-        if total <= 0.0 {
+        if total == 0 {
             1.0
         } else {
-            hits / total
+            hits as f64 / total as f64
         }
     }
 }
@@ -108,8 +103,8 @@ mod tests {
     fn cache_hit_rate_handles_empty_and_mixed() {
         let gauges = CacheGauges::new();
         assert_eq!(gauges.hit_rate(), 1.0);
-        gauges.hits.set(3.0);
-        gauges.misses.set(1.0);
+        gauges.hits.add(3);
+        gauges.misses.incr();
         assert_eq!(gauges.hit_rate(), 0.75);
     }
 }

@@ -38,9 +38,11 @@
 //!   [`ShardedPipeline::live_handle`] hands out clonable [`LiveHandle`]s
 //!   that snapshot and query from other threads without stopping the
 //!   workers (a [`SnapshotSummary`] clone per shard is the entire cost).
-//!   A [`CachedSnapshots`] layer re-serves one assembled view within a
-//!   configurable staleness budget, so high query rates don't multiply the
-//!   clone cost.
+//!   Every live answer is the merged view's, so with sum-merge rows it
+//!   equals the unsharded sketch at the view's epoch.  Re-serving one
+//!   assembled view within a staleness budget, so high query rates don't
+//!   multiply the clone cost, is `salsa-serve`'s `Coalescer`, generic over
+//!   [`SnapshotSource`].
 //! * The shard count itself is **elastic**:
 //!   [`ShardedPipeline::rescale`] changes it while ingesting via
 //!   generation-based resharding (drain → seal → fresh worker set), the
@@ -128,7 +130,7 @@ pub mod sync;
 
 pub use chaos::{silence_worker_panics, FaultKind, FaultPlan, INJECTED_PANIC};
 pub use error::PipelineError;
-pub use live::{CachePolicy, CachedSnapshots, LiveHandle, SnapshotSource};
+pub use live::{LiveHandle, SnapshotSource};
 pub use policy::{LoadMonitor, LoadSnapshot, Manual, ScalingPolicy, Threshold};
 pub use salsa_sketches::helper::MergeHelper;
 pub use salsa_sketches::summary::{
@@ -175,8 +177,7 @@ impl Partition {
 
 /// The shard that owns a key with router hash `hash` under
 /// [`Partition::ByKey`]: `hash % shards`.  The producer's routing
-/// ([`ShardedPipeline::shard_of`]) and the live point fast path
-/// ([`LiveHandle::owner_of`]) both call this, so they cannot disagree.
+/// ([`ShardedPipeline::shard_of`]) is its only caller.
 #[inline]
 pub(crate) fn by_key_shard(hash: u64, shards: usize) -> usize {
     (hash % shards as u64) as usize

@@ -13,14 +13,21 @@
 //! A handle resolves the live generation on every query from one state the
 //! pipeline publishes behind one `RwLock`: restarts and rescales republish
 //! it, so one handle keeps serving across both.
+//!
+//! Every answer a handle gives comes from the merged view: the counter-wise
+//! union of every reachable shard and sealed generation, which for
+//! sum-merge rows equals the unsharded sketch at the view's epoch.  Callers
+//! that re-serve one view within a staleness budget do so through the
+//! [`SnapshotSource`] trait (`salsa-serve`'s `Coalescer`), which hands
+//! replaced views back to the handle's arena through
+//! [`SnapshotSource::recycle`].
 
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::{Duration, Instant};
 
-use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex, RwLock};
 
-use salsa_hash::BobHash;
 use salsa_metrics::HealthCounters;
 use salsa_sketches::helper::MergeHelper;
 
@@ -28,7 +35,7 @@ use crate::error::PipelineError;
 use crate::sharded::{Command, ShardProgress, ShardSnapshot};
 use crate::snapshot::{CoverageMeta, SnapshotView};
 use crate::supervisor::{Backoff, ShardHealth, ShardState, SupervisorConfig};
-use crate::{by_key_shard, FrequencyQueries, Partition, SnapshotSummary};
+use crate::SnapshotSummary;
 
 /// The live generation's workers as handles reach them: command senders,
 /// published progress, and the health board.  Immutable once published; a
@@ -97,8 +104,9 @@ struct Resolved<S> {
 /// pool, so after warm-up a handle's snapshots refresh existing counter
 /// storage (via [`SnapshotSummary::copy_from`] on the worker side) instead
 /// of cloning from scratch.  Bounded by one spare per live shard plus one
-/// for a recycled merged view — exactly what one steady-state assembly
-/// consumes — so a burst of concurrent snapshots cannot hoard memory.
+/// for a merged view handed back through [`SnapshotSource::recycle`] —
+/// exactly what one steady-state assembly consumes — so a burst of
+/// concurrent snapshots cannot hoard memory.
 struct SnapshotArena<S> {
     spares: Mutex<Vec<S>>,
     cap: AtomicUsize,
@@ -152,16 +160,14 @@ impl<S> SnapshotArena<S> {
 /// was dropped), so a query thread can simply loop until its handle goes
 /// dark.  While shard workers are *dead* (panicked) rather than stopped,
 /// queries keep working against the survivors: views carry coverage
-/// metadata naming the gap, and the `try_` variants report the failure
-/// modes as typed [`PipelineError`]s.
+/// metadata naming the gap, and [`LiveHandle::try_snapshot`] reports the
+/// failure modes as typed [`PipelineError`]s.
 ///
 /// [`ShardedPipeline`]: crate::ShardedPipeline
 /// [`ShardedPipeline::live_handle`]: crate::ShardedPipeline::live_handle
 /// [`ShardedPipeline::finish`]: crate::ShardedPipeline::finish
 pub struct LiveHandle<S: SnapshotSummary> {
     published: Arc<RwLock<Published<S>>>,
-    partition: Partition,
-    router: BobHash,
     counters: Arc<HealthCounters>,
     snapshot_timeout: Duration,
     backoff: Backoff,
@@ -175,8 +181,6 @@ impl<S: SnapshotSummary> Clone for LiveHandle<S> {
     fn clone(&self) -> Self {
         Self {
             published: Arc::clone(&self.published),
-            partition: self.partition,
-            router: self.router,
             counters: Arc::clone(&self.counters),
             snapshot_timeout: self.snapshot_timeout,
             backoff: self.backoff,
@@ -189,16 +193,9 @@ impl<S: SnapshotSummary> Clone for LiveHandle<S> {
 }
 
 impl<S: SnapshotSummary> LiveHandle<S> {
-    pub(crate) fn new(
-        published: Arc<RwLock<Published<S>>>,
-        partition: Partition,
-        router: BobHash,
-        supervisor: &SupervisorConfig,
-    ) -> Self {
+    pub(crate) fn new(published: Arc<RwLock<Published<S>>>, supervisor: &SupervisorConfig) -> Self {
         Self {
             published,
-            partition,
-            router,
             counters: Arc::clone(&supervisor.counters),
             snapshot_timeout: supervisor.snapshot_timeout,
             backoff: supervisor.backoff,
@@ -412,51 +409,10 @@ impl<S: SnapshotSummary> LiveHandle<S> {
         ))
     }
 
-    /// One live shard's copy, as a shard-local view.
-    fn assemble_shard(
-        &self,
-        resolved: &Resolved<S>,
-        shard: usize,
-    ) -> Result<SnapshotView<S>, PipelineError> {
-        let issued = Instant::now();
-        let live = &resolved.live;
-        self.arena.fit(live.senders.len());
-        let tx = live
-            .senders
-            .get(shard)
-            .ok_or(PipelineError::ShardDown { shard })?;
-        let Some(reply) = self.reply(self.request(tx), issued + self.snapshot_timeout)? else {
-            return Err(Self::shard_gone(live, shard));
-        };
-        let coverage = CoverageMeta {
-            shards_ok: 1,
-            shards_failed: 0,
-            uncovered_items: reply.applied_base,
-        };
-        if !coverage.is_full() {
-            self.counters.degraded_snapshots.incr();
-        }
-        Ok(SnapshotView::with_coverage(
-            reply.sketch,
-            reply.applied_base + reply.stats.items,
-            resolved.generation,
-            coverage,
-            // ALLOC-OK: one-element stats Vec per single-shard view.
-            vec![reply.stats],
-            issued,
-        ))
-    }
-
     /// Number of worker shards in the live generation, or `0` once the
     /// pipeline has finished.
     pub fn shards(&self) -> usize {
         self.read(|published| published.live.as_ref().map_or(0, |live| live.senders.len()))
-    }
-
-    /// The pipeline's partitioning mode.
-    #[inline]
-    pub fn partition(&self) -> Partition {
-        self.partition
     }
 
     /// Total updates acknowledged (applied by workers) so far, across all
@@ -466,21 +422,6 @@ impl<S: SnapshotSummary> LiveHandle<S> {
     /// the pipeline finishes this stays at the final count.
     pub fn acknowledged(&self) -> u64 {
         self.read(Published::acknowledged)
-    }
-
-    fn owner(&self, item: u64, shards: usize) -> usize {
-        by_key_shard(self.router.hash_u64(item), shards)
-    }
-
-    /// The shard of the live generation that owns `item`'s entire
-    /// sub-stream, if the partitioning mode gives keys an owner (`None`
-    /// under [`Partition::RoundRobin`], where every shard sees an arbitrary
-    /// slice, and once the pipeline has finished).
-    pub fn owner_of(&self, item: u64) -> Option<usize> {
-        match (self.partition, self.shards()) {
-            (Partition::ByKey, shards) if shards > 0 => Some(self.owner(item, shards)),
-            _ => None,
-        }
     }
 
     /// Takes a consistent snapshot of every *reachable* shard and merges
@@ -512,73 +453,13 @@ impl<S: SnapshotSummary> LiveHandle<S> {
     pub fn snapshot(&self) -> Option<SnapshotView<S>> {
         self.try_snapshot().ok()
     }
-
-    /// Takes a snapshot of a single shard of the live generation.  The
-    /// view's epoch (and its coverage metadata) is shard-local: every item
-    /// that shard acknowledged, with its earlier incarnations' items named
-    /// as uncovered.
-    ///
-    /// Under [`Partition::ByKey`] the owning shard holds a key's *entire*
-    /// sub-stream of the live generation, so for sum-merge rows a
-    /// single-shard view never under-estimates that key's live count and
-    /// is at most the full merged view's estimate (it sees only same-shard
-    /// hash collisions, not the other shards') — a point-query fast path at
-    /// a fraction of the clone cost.
-    ///
-    /// Unlike [`LiveHandle::try_snapshot`], a dead shard is an error here
-    /// ([`PipelineError::ShardDown`]): there is no survivor to degrade to.
-    #[must_use = "the snapshot clones the shard's summary; dropping it wastes that work"]
-    pub fn try_snapshot_shard(&self, shard: usize) -> Result<SnapshotView<S>, PipelineError> {
-        self.retrying(|resolved| self.assemble_shard(resolved, shard))
-    }
-
-    /// [`LiveHandle::try_snapshot_shard`] flattened to an `Option`: `None`
-    /// when the shard (or the pipeline) is gone or the reply deadline
-    /// expired.
-    #[must_use = "the snapshot clones the shard's summary; dropping it wastes that work"]
-    pub fn snapshot_shard(&self, shard: usize) -> Option<SnapshotView<S>> {
-        self.try_snapshot_shard(shard).ok()
-    }
-
-    /// Wraps this handle in a [`CachedSnapshots`] layer that re-serves one
-    /// assembled view until it exceeds the given staleness bounds — see
-    /// [`CachePolicy`] for the bounds' semantics.  The cache carries over
-    /// rescales because the handle does.
-    pub fn cached(self, policy: CachePolicy) -> CachedSnapshots<Self, S> {
-        CachedSnapshots::new(self, policy)
-    }
-}
-
-impl<S: SnapshotSummary + FrequencyQueries> LiveHandle<S> {
-    /// Estimates the frequency of `item` over the whole stream, against
-    /// fresh shard state.
-    ///
-    /// Under [`Partition::ByKey`], while no generation is sealed, this
-    /// snapshots only the owning shard; otherwise (round-robin routing, or
-    /// after a rescale, when no single shard owns a key's whole history) it
-    /// falls back to a full merged snapshot.  Returns `None` once the
-    /// pipeline has been finished.  Either way the view's summary buffer is
-    /// recycled into the handle's arena afterwards, so repeated point
-    /// queries refresh one buffer instead of cloning per call.
-    pub fn estimate(&self, item: u64) -> Option<i64> {
-        let view = self
-            .retrying(|resolved| match (self.partition, &resolved.sealed) {
-                (Partition::ByKey, None) => {
-                    self.assemble_shard(resolved, self.owner(item, resolved.live.senders.len()))
-                }
-                _ => self.assemble(resolved),
-            })
-            .ok()?;
-        let estimate = view.estimate(item);
-        self.arena.put(view.into_merged());
-        Some(estimate)
-    }
 }
 
 /// Anything that can produce merged, epoch-stamped views of a running
 /// pipeline and report its live acknowledged count: a [`LiveHandle`], or a
-/// custom source (a test double, a proxy over a remote pipeline).  The
-/// [`CachedSnapshots`] layer and the network server are generic over this.
+/// custom source (a test double, a proxy over a remote pipeline).
+/// `salsa-serve`'s `Coalescer`, the view cache every served query passes
+/// through, is generic over this.
 pub trait SnapshotSource<S> {
     /// A fresh consistent view, or `None` once the pipeline has finished.
     fn snapshot(&self) -> Option<SnapshotView<S>>;
@@ -606,186 +487,5 @@ impl<S: SnapshotSummary> SnapshotSource<S> for LiveHandle<S> {
 
     fn recycle(&self, spare: S) {
         self.arena.put(spare);
-    }
-}
-
-/// When a cached view is still fresh enough to re-serve.
-///
-/// A view is re-served while **both** bounds hold: it is younger than
-/// `max_age` *and* fewer than `max_lag_items` updates were acknowledged
-/// after its epoch.  Set a bound to its type's maximum to disable it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CachePolicy {
-    /// Maximum age of a served view (the "T ms" staleness budget).
-    pub max_age: Duration,
-    /// Maximum number of acknowledged updates a served view may miss.
-    pub max_lag_items: u64,
-}
-
-impl CachePolicy {
-    /// A policy bounding both view age and missed updates.
-    pub fn new(max_age: Duration, max_lag_items: u64) -> Self {
-        Self {
-            max_age,
-            max_lag_items,
-        }
-    }
-}
-
-struct CacheState<S> {
-    cached: Mutex<Option<Arc<SnapshotView<S>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Optional exporter mirror: every lookup republishes the counters
-    /// here, so watchers (the serve layer, benches) can read cache
-    /// effectiveness without holding this cache.
-    gauges: Option<Arc<salsa_metrics::CacheGauges>>,
-}
-
-impl<S> CacheState<S> {
-    fn publish(&self) {
-        if let Some(gauges) = self.gauges.as_ref() {
-            // RELAXED-OK: statistics mirror; the gauges carry no other
-            // memory, so no ordering is needed on either side.
-            let hits = self.hits.load(Ordering::Relaxed);
-            let misses = self.misses.load(Ordering::Relaxed);
-            gauges.hits.set(hits as f64);
-            gauges.misses.set(misses as f64);
-        }
-    }
-}
-
-/// A TTL cache in front of a snapshot-producing handle: instead of cloning
-/// every shard on every query, one assembled [`SnapshotView`] is re-served
-/// (behind an `Arc`) until it is older than the policy's `max_age` or more
-/// than `max_lag_items` acknowledged updates behind the live stream.
-///
-/// Clones share the cache, so a pool of query threads cloning one
-/// `CachedSnapshots` pays for at most one snapshot assembly per staleness
-/// window regardless of its query rate.  [`CachedSnapshots::hits`] /
-/// [`CachedSnapshots::misses`] expose the cache's effectiveness.
-pub struct CachedSnapshots<H, S> {
-    source: H,
-    policy: CachePolicy,
-    state: Arc<CacheState<S>>,
-}
-
-impl<H: Clone, S> Clone for CachedSnapshots<H, S> {
-    fn clone(&self) -> Self {
-        Self {
-            // ALLOC-OK: handle cloning is setup, not the query hot path.
-            source: self.source.clone(),
-            policy: self.policy,
-            state: Arc::clone(&self.state),
-        }
-    }
-}
-
-impl<H: SnapshotSource<S>, S> CachedSnapshots<H, S> {
-    /// Wraps `source` with the given staleness policy.
-    pub fn new(source: H, policy: CachePolicy) -> Self {
-        Self {
-            source,
-            policy,
-            state: Arc::new(CacheState {
-                cached: Mutex::new(None),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                gauges: None,
-            }),
-        }
-    }
-
-    /// Mirrors this cache's hit/miss counters into the given
-    /// [`salsa_metrics::CacheGauges`] on every lookup, so exporters can
-    /// watch cache effectiveness without holding the cache itself.  Resets
-    /// the cache state (clones made *before* this call keep the old,
-    /// un-gauged state).
-    pub fn with_gauges(self, gauges: Arc<salsa_metrics::CacheGauges>) -> Self {
-        Self {
-            source: self.source,
-            policy: self.policy,
-            state: Arc::new(CacheState {
-                cached: Mutex::new(None),
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-                gauges: Some(gauges),
-            }),
-        }
-    }
-
-    /// The underlying (uncached) handle.
-    pub fn source(&self) -> &H {
-        &self.source
-    }
-
-    /// The staleness policy views are served under.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Queries served from the cached view, across all clones.
-    pub fn hits(&self) -> u64 {
-        // RELAXED-OK: a monotone statistics counter read on its own; no
-        // other memory is published through it, so no ordering is needed.
-        self.state.hits.load(Ordering::Relaxed)
-    }
-
-    /// Queries that had to assemble a fresh view, across all clones.
-    pub fn misses(&self) -> u64 {
-        // RELAXED-OK: same as `hits` — an isolated statistics counter.
-        self.state.misses.load(Ordering::Relaxed)
-    }
-
-    /// A view no staler than the policy allows: the cached one when it is
-    /// still within bounds, otherwise a freshly assembled (and re-cached)
-    /// one.  After the pipeline finishes, a still-in-bounds cached view is
-    /// served as usual (it is exact for the final stream up to its lag);
-    /// once it expires, the entry is dropped and the call returns `None`.
-    #[must_use = "a cache miss assembles a full snapshot; dropping the view wastes that work"]
-    pub fn snapshot(&self) -> Option<Arc<SnapshotView<S>>> {
-        let mut cached = self
-            .state
-            .cached
-            .lock()
-            // PANIC-OK: the lock only guards cache replacement (no user
-            // code runs under it), so poisoning means a peer clone
-            // panicked mid-assembly and the cache state is unknowable.
-            .expect("snapshot cache lock poisoned");
-        if let Some(view) = cached.as_ref() {
-            let lag = self.source.acknowledged().saturating_sub(view.epoch());
-            if view.staleness() <= self.policy.max_age && lag <= self.policy.max_lag_items {
-                // RELAXED-OK: statistics counter; the view itself is
-                // published by the cache mutex, not by this increment.
-                self.state.hits.fetch_add(1, Ordering::Relaxed);
-                self.state.publish();
-                return Some(Arc::clone(view));
-            }
-        }
-        // The cached view expired.  When no query thread still holds it,
-        // reclaim its summary buffer for the source's arena so the refresh
-        // below copies into it instead of allocating a fresh clone.
-        if let Some(stale) = cached.take() {
-            if let Ok(view) = Arc::try_unwrap(stale) {
-                self.source.recycle(view.into_merged());
-            }
-        }
-        // Assemble while holding the lock: under a thundering herd of
-        // expired queries exactly one clone pays the assembly and the rest
-        // serve its result, which is the point of the cache.
-        match self.source.snapshot() {
-            Some(fresh) => {
-                // RELAXED-OK: statistics counter, as for `hits` above.
-                self.state.misses.fetch_add(1, Ordering::Relaxed);
-                self.state.publish();
-                let fresh = Arc::new(fresh);
-                *cached = Some(Arc::clone(&fresh));
-                Some(fresh)
-            }
-            None => {
-                *cached = None;
-                None
-            }
-        }
     }
 }

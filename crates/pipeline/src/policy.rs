@@ -85,14 +85,14 @@ impl Default for LoadMonitor {
 }
 
 impl LoadMonitor {
-    /// A monitor publishing to its own fresh gauges.
+    /// A monitor publishing to its own fresh gauges; share them through
+    /// [`LoadMonitor::gauges`] (for example as the query server's load
+    /// signal).
     pub fn new() -> Self {
-        Self::with_gauges(Arc::new(LoadGauges::new()))
-    }
-
-    /// A monitor publishing to caller-shared gauges.
-    pub fn with_gauges(gauges: Arc<LoadGauges>) -> Self {
-        Self { gauges, last: None }
+        Self {
+            gauges: Arc::new(LoadGauges::new()),
+            last: None,
+        }
     }
 
     /// The gauges this monitor publishes to.

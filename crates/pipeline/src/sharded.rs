@@ -920,12 +920,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// return `None`; while shard workers are dead, their views degrade
     /// (see [`LiveHandle::try_snapshot`]).
     pub fn live_handle(&self) -> LiveHandle<S> {
-        LiveHandle::new(
-            Arc::clone(&self.published),
-            self.config.partition,
-            self.router,
-            &self.supervisor,
-        )
+        LiveHandle::new(Arc::clone(&self.published), &self.supervisor)
     }
 
     /// Takes a consistent point-in-time snapshot of the whole pipeline
@@ -1926,7 +1921,6 @@ mod tests {
         assert_eq!(final_view.epoch(), items.len() as u64);
         pipeline.finish();
         assert!(handle.snapshot().is_none(), "snapshot after finish");
-        assert!(handle.estimate(1).is_none(), "estimate after finish");
         assert_eq!(handle.shards(), 0);
         assert_eq!(handle.acknowledged(), items.len() as u64);
     }

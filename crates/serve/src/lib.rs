@@ -13,11 +13,12 @@
 //!    every data response stamped with the answering view's epoch and
 //!    coverage.  Decoding is total — garbage becomes a typed
 //!    [`WireError`], never a panic.
-//! 2. **Request coalescing** ([`coalesce`]): concurrent queries inside a
-//!    coalescing window share one snapshot fetch through a
-//!    [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) layer, keeping
-//!    the steady-state serve path allocation-free (the PR 9 arena
-//!    discipline end to end).
+//! 2. **Request coalescing** ([`coalesce`]): the [`Coalescer`] is the one
+//!    view cache on the query path.  Concurrent queries inside a
+//!    coalescing window share one fetch, a fetch re-serves the last view
+//!    while a [`CachePolicy`] holds, and a replaced view's buffer goes back
+//!    to the source's arena, keeping the steady-state serve path
+//!    allocation-free end to end.
 //! 3. **Top-k subscriptions** ([`server`]): the server pushes a refreshed
 //!    top-k at a client-chosen cadence, degrading to latest-only (skipped
 //!    ticks, visible as `seq` gaps) for slow consumers.
@@ -40,7 +41,7 @@ pub mod shed;
 pub mod wire;
 
 pub use client::{ClientError, PointAnswer, QueryClient, Subscription, TopKAnswer, Update};
-pub use coalesce::Coalescer;
+pub use coalesce::{CachePolicy, Coalescer};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use shed::{Admission, AdmissionConfig, Permit, Shed};
 pub use wire::{ErrorCode, Request, Response, WireError, WireMeta, WireStats};

@@ -5,14 +5,17 @@
 //! the server's job is to be a thin, allocation-disciplined front for a
 //! [`SnapshotSource`], not an async runtime.  Per connection, the steady
 //! state re-uses one header buffer, one payload buffer and one output
-//! buffer; a point query's whole path — frame read, decode, coalesced view
-//! ([`Coalescer`]), estimate, encode, write — allocates nothing once those
-//! buffers are warm.
+//! buffer; a point query's whole path — frame read, decode, view from the
+//! one view cache ([`Coalescer`]), estimate, encode, write — allocates
+//! nothing once those buffers are warm and the cached view is fresh.  A
+//! cache miss assembles a new view into the buffers of the view it
+//! replaces.
 //!
 //! Shutdown: [`ServerHandle::shutdown`] raises a stop flag, nudges the
 //! acceptor awake with a loopback connection, and joins every handler
 //! thread (handlers poll the flag at their read-timeout cadence, so they
-//! exit within one timeout).  Dropping the handle shuts down too.
+//! exit within one timeout; the acceptor retries failed accepts at the
+//! same cadence).  Dropping the handle shuts down too.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -23,20 +26,18 @@ use std::time::{Duration, Instant};
 
 use salsa_metrics::load::LoadGauges;
 use salsa_metrics::{CacheGauges, ServeCounters};
-use salsa_pipeline::{
-    CachePolicy, CachedSnapshots, FrequencyQueries, SnapshotSource, SnapshotView,
-};
+use salsa_pipeline::{FrequencyQueries, SnapshotSource, SnapshotView};
 
-use crate::coalesce::Coalescer;
+use crate::coalesce::{CachePolicy, Coalescer};
 use crate::shed::{Admission, AdmissionConfig};
 use crate::wire::{check_frame_len, ErrorCode, Request, Response, WireMeta, WireStats};
 
 /// Everything tunable about a server; start from `default()` and override.
 #[derive(Clone)]
 pub struct ServeConfig {
-    /// Staleness bounds for the snapshot cache behind the coalescer.  The
-    /// default re-serves a view for 2 ms or 10k missed updates, whichever
-    /// trips first — tune to the deployment's staleness budget.
+    /// Staleness bounds under which the [`Coalescer`] re-serves its last
+    /// view.  The default re-serves a view for 2 ms or 10k missed updates,
+    /// whichever trips first — tune to the deployment's staleness budget.
     pub cache: CachePolicy,
     /// How long a fetch round holds its window open for concurrent
     /// requests to join (see [`Coalescer`]).  Also the floor on a point
@@ -53,13 +54,14 @@ pub struct ServeConfig {
     /// Connections are dropped on frames announcing more than this many
     /// payload bytes.
     pub max_frame_bytes: usize,
-    /// Ingest-load gauges consulted by admission.  Share the same `Arc`
-    /// with the pipeline's `LoadMonitor` so shedding reacts to *observed*
+    /// Ingest-load gauges consulted by admission.  Pass the pipeline's
+    /// `LoadMonitor::gauges` here so shedding reacts to *observed*
     /// backlog; a fresh (never-published) gauge set disables that check.
     pub load: Arc<LoadGauges>,
     /// Counter sink for accepted/shed/coalesced/subscribed and push stats.
     pub counters: Arc<ServeCounters>,
-    /// Gauge sink mirroring the snapshot cache's hit/miss counters.
+    /// Counter sink for the [`Coalescer`]'s cache hits and misses, one per
+    /// fetch round.
     pub cache_gauges: Arc<CacheGauges>,
 }
 
@@ -112,7 +114,7 @@ impl ServerHandle {
         &self.counters
     }
 
-    /// The snapshot-cache gauges (same `Arc` as the config's).
+    /// The view cache's hit and miss counters (same `Arc` as the config's).
     pub fn cache_gauges(&self) -> &Arc<CacheGauges> {
         &self.cache_gauges
     }
@@ -142,7 +144,7 @@ impl Drop for ServerHandle {
 /// Binds `addr` and serves queries against `source` until the returned
 /// handle is shut down.  `source` is any [`SnapshotSource`] — a
 /// `LiveHandle` (across restarts and rescales) or a custom impl; the
-/// server wraps it in a [`CachedSnapshots`] + [`Coalescer`] stack per the
+/// server serves every query through one [`Coalescer`] built from the
 /// config.
 pub fn serve<H, S>(
     addr: impl ToSocketAddrs,
@@ -158,9 +160,14 @@ where
     let stop = Arc::new(AtomicBool::new(false));
     let counters = Arc::clone(&config.counters);
     let cache_gauges = Arc::clone(&config.cache_gauges);
-    let cache = CachedSnapshots::new(source, config.cache).with_gauges(Arc::clone(&cache_gauges));
     let shared = Arc::new(Shared {
-        coalescer: Coalescer::new(cache, config.coalesce_window, Arc::clone(&counters)),
+        coalescer: Coalescer::new(
+            source,
+            config.cache,
+            config.coalesce_window,
+            Arc::clone(&counters),
+            Arc::clone(&cache_gauges),
+        ),
         admission: Admission::new(
             config.admission,
             Arc::clone(&config.load),
@@ -194,11 +201,15 @@ where
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             // Transient accept failures (EMFILE, aborted handshake): keep
-            // serving unless we are being shut down.
+            // serving unless we are being shut down.  Retry at the
+            // stop-poll cadence rather than at once: running out of
+            // descriptors lasts until a connection closes, and an
+            // immediate retry would spin a core until then.
             Err(_) => {
                 if shared.stop.load(Ordering::Acquire) {
                     break;
                 }
+                std::thread::sleep(shared.read_timeout);
                 continue;
             }
         };
@@ -326,15 +337,15 @@ where
                 write_response(&mut stream, &response, &mut out)?;
             }
             Request::Stats => {
-                let cache = shared.coalescer.cache();
+                let cache = shared.coalescer.gauges();
                 let response = Response::Stats(WireStats {
                     accepted: shared.counters.accepted.get(),
                     shed: shared.counters.shed.get(),
                     coalesced: shared.counters.coalesced.get(),
                     subscribed: shared.counters.subscribed.get(),
-                    cache_hits: cache.hits(),
-                    cache_misses: cache.misses(),
-                    acknowledged: cache.source().acknowledged(),
+                    cache_hits: cache.hits.get(),
+                    cache_misses: cache.misses.get(),
+                    acknowledged: shared.coalescer.source().acknowledged(),
                 });
                 write_response(&mut stream, &response, &mut out)?;
             }

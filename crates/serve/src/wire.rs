@@ -130,9 +130,9 @@ pub struct WireStats {
     pub coalesced: u64,
     /// Subscriptions accepted.
     pub subscribed: u64,
-    /// Snapshot-cache hits behind the coalescer.
+    /// Coalescer fetch rounds that re-served the cached view.
     pub cache_hits: u64,
-    /// Snapshot-cache misses behind the coalescer.
+    /// Coalescer fetch rounds that assembled a fresh view.
     pub cache_misses: u64,
     /// Updates acknowledged by the pipeline when the stats were read.
     pub acknowledged: u64,

@@ -5,7 +5,7 @@
 //! datacenter trace and a Kaggle YouTube view-count trace) are not
 //! redistributable, so this crate generates **synthetic stand-ins with the
 //! same first-order statistics the paper reports** (stream length, number of
-//! distinct items, skew); see `DESIGN.md` for the substitution table.  All
+//! distinct items, skew); see the substitution table in [`trace`].  All
 //! sketch algorithms see exactly the same streams, so relative comparisons
 //! (who wins, by how much, where crossovers happen) are preserved.
 //!

@@ -2,8 +2,8 @@
 //!
 //! The four real traces used in the paper are not redistributable, so each
 //! [`TraceSpec`] generates a synthetic stream matching the statistics the
-//! paper reports for the corresponding trace (see the substitution table in
-//! `DESIGN.md`):
+//! paper reports for the corresponding trace, as the substitution table
+//! below lists:
 //!
 //! | Spec | Stands in for | Universe | Skew |
 //! |------|---------------|----------|------|

@@ -33,16 +33,16 @@
 //!    to all scanned files: a silently eaten panic is as dangerous in a
 //!    test harness as in library code.
 //! 8. **Hot paths justify their allocations** — in the zero-allocation
-//!    hot-path modules (`snapshot.rs`, `live.rs`, the `merge.rs` merge
-//!    impls, the `summary.rs` merge/copy defaults, and the ingest row
-//!    modules `row.rs`, `bitmap.rs` and `compact.rs` under
-//!    `crates/*/src`), an allocating construct (`Vec::new(`,
-//!    `vec![`, `.to_vec(`, `.clone()`) must carry a `// ALLOC-OK:`
-//!    justification within the three preceding lines.  These modules back
-//!    the steady-state query/merge/ingest path, which is supposed to reuse
-//!    buffers (`copy_from` / `merge_with_helper` / `reset`) — an
-//!    unjustified allocation there is a regression waiting for the alloc
-//!    gate.
+//!    hot-path modules (`snapshot.rs`, `live.rs`, the serve path's view
+//!    cache `coalesce.rs`, the `merge.rs` merge impls, the `summary.rs`
+//!    merge/copy defaults, and the ingest row modules `row.rs`,
+//!    `bitmap.rs` and `compact.rs` under `crates/*/src`), an allocating
+//!    construct (`Vec::new(`, `vec![`, `.to_vec(`, `.clone()`) must carry
+//!    a `// ALLOC-OK:` justification within the three preceding lines.
+//!    These modules back the steady-state query/merge/ingest path, which
+//!    is supposed to reuse buffers (`copy_from` / `merge_with_helper` /
+//!    `reset`) — an unjustified allocation there is a regression waiting
+//!    for the alloc gate.
 //!
 //! `#[cfg(test)]` modules are skipped (rules 3–6 and 8; rules 1 and 7
 //! apply everywhere).  In tree mode (no file arguments) only
@@ -96,6 +96,7 @@ impl Scope {
         let hot_module = [
             "/snapshot.rs",
             "/live.rs",
+            "/coalesce.rs",
             "/merge.rs",
             "/summary.rs",
             "/row.rs",
@@ -579,6 +580,13 @@ mod tests {
             assert!(Scope::for_tree_path(&path).hot_path_alloc, "{file}");
         }
         assert!(!Scope::for_tree_path(Path::new("crates/core/src/tango.rs")).hot_path_alloc);
+    }
+
+    #[test]
+    fn hot_path_scope_covers_the_view_cache() {
+        let path = Path::new("crates/serve/src/coalesce.rs");
+        assert!(Scope::for_tree_path(path).hot_path_alloc);
+        assert!(!Scope::for_tree_path(Path::new("crates/serve/src/server.rs")).hot_path_alloc);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //!
 //! The zero-allocation contract (see README "Hot path & allocation
 //! discipline"): once a live pipeline's snapshot arena and a merge
-//! helper's scratch are warm, point queries served through
-//! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) — before and after
-//! the pipeline rescales under the same handle — and helper-based shard
+//! helper's scratch are warm, point queries served through the serve
+//! path's view cache, a zero-window [`Coalescer`](salsa_serve::Coalescer)
+//! — before and after the pipeline rescales under the same handle — and
+//! helper-based shard
 //! merges (simple and compact encoding) and subtractions into a refreshed
 //! destination buffer touch the heap **zero times**; so do batched
 //! updates into a warm SALSA CMS (simple and compact encoding) and
@@ -23,7 +24,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use salsa_core::traits::MergeOp;
-use salsa_pipeline::{CachePolicy, MergeHelper, PipelineConfig, ShardedPipeline};
+use salsa_integration_tests::view_cache;
+use salsa_pipeline::{MergeHelper, PipelineConfig, ShardedPipeline};
+use salsa_serve::CachePolicy;
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -100,13 +103,14 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     let mut pipeline = ShardedPipeline::new(&config, |_| cms());
     pipeline.extend(&items);
     let handle = pipeline.live_handle();
-    let cached = handle
-        .clone()
-        .cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
+    let cached = view_cache(
+        handle.clone(),
+        CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
+    );
 
     // Warm-up: the first snapshot assembles (and allocates) the cached
     // view; every query below re-serves it.
-    let view = cached.snapshot().expect("pipeline is live");
+    let view = cached.view().expect("pipeline is live");
     let mut sink = view.estimate(items[0]);
     drop(view);
 
@@ -114,7 +118,7 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     // command channels, so the counter window isolates the serve path.
     let before = allocations();
     for i in 0..QUERIES {
-        let view = cached.snapshot().expect("pipeline is live");
+        let view = cached.view().expect("pipeline is live");
         sink ^= view.estimate(items[i % items.len()]);
     }
     let query_allocs = allocations() - before;
@@ -128,15 +132,18 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     // rescale: the served view folds the sealed generation, and a hit
     // resolves the live generation to measure its lag. ---
     pipeline.rescale(SHARDS / 2).expect("a real rescale");
-    let cached = handle.cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
-    let view = cached.snapshot().expect("pipeline is live");
+    let cached = view_cache(
+        handle,
+        CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
+    );
+    let view = cached.view().expect("pipeline is live");
     assert_eq!(view.generation(), 1, "the view spans the rescale");
     sink ^= view.estimate(items[0]);
     drop(view);
 
     let before = allocations();
     for i in 0..QUERIES {
-        let view = cached.snapshot().expect("pipeline is live");
+        let view = cached.view().expect("pipeline is live");
         sink ^= view.estimate(items[i % items.len()]);
     }
     let rescaled_allocs = allocations() - before;

@@ -11,9 +11,9 @@
 use std::time::Duration;
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{
-    CachePolicy, LoadMonitor, Manual, Partition, PipelineConfig, ShardedPipeline, Threshold,
-};
+use salsa_integration_tests::view_cache;
+use salsa_pipeline::{LoadMonitor, Manual, Partition, PipelineConfig, ShardedPipeline, Threshold};
+use salsa_serve::CachePolicy;
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -199,32 +199,35 @@ fn threshold_policy_grows_under_synthetic_backlog() {
 fn elastic_handle_cache_serves_across_rescales() {
     let items = trace();
     let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make_cms());
-    let cached = pipeline
-        .live_handle()
-        .cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
+    let cached = view_cache(
+        pipeline.live_handle(),
+        CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
+    );
     pipeline.extend(&items[..20_000]);
-    let first = cached.snapshot().expect("pipeline is live");
-    let again = cached.snapshot().expect("pipeline is live");
+    let first = cached.view().expect("pipeline is live");
+    let again = cached.view().expect("pipeline is live");
     assert_eq!(first.epoch(), again.epoch(), "served from cache");
-    assert_eq!(cached.misses(), 1);
-    assert_eq!(cached.hits(), 1);
+    assert_eq!(cached.gauges().misses.get(), 1);
+    assert_eq!(cached.gauges().hits.get(), 1);
     pipeline.rescale(4);
     pipeline.extend(&items[20_000..]);
     // The cached view predates the rescale but is still within policy, so
     // it is re-served; the handle itself survived the generation change.
-    let stale = cached.snapshot().expect("cache still serves");
+    let stale = cached.view().expect("cache still serves");
     assert_eq!(stale.generation(), first.generation());
-    assert_eq!(cached.hits(), 2);
+    assert_eq!(cached.gauges().hits.get(), 2);
     // A cache whose entry is always out of bounds must re-assemble every
     // time — and once the pipeline finishes, it goes dark.
-    let strict = pipeline
-        .live_handle()
-        .cached(CachePolicy::new(Duration::ZERO, 0));
-    assert!(strict.snapshot().is_some());
+    let strict = view_cache(pipeline.live_handle(), CachePolicy::new(Duration::ZERO, 0));
+    assert!(strict.view().is_some());
     pipeline.finish();
     assert!(
-        strict.snapshot().is_none(),
+        strict.view().is_none(),
         "expired entry after finish: the cache drops it instead of serving it"
     );
-    assert_eq!(strict.misses(), 1, "the dark refresh is not a miss");
+    assert_eq!(
+        strict.gauges().misses.get(),
+        1,
+        "the dark refresh is not a miss"
+    );
 }

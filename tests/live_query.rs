@@ -8,12 +8,13 @@
 //! ingestion are consistent, not merely approximate; and concurrent
 //! [`LiveHandle`] snapshots have monotonically non-decreasing epochs.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{
-    CachePolicy, LiveHandle, Partition, PipelineConfig, ShardedPipeline, SnapshotSummary,
-};
+use salsa_integration_tests::view_cache;
+use salsa_pipeline::{LiveHandle, Partition, PipelineConfig, ShardedPipeline, SnapshotSummary};
+use salsa_serve::CachePolicy;
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -120,41 +121,6 @@ fn concurrent_snapshots_have_monotone_epochs_and_consistent_bounds() {
 }
 
 #[test]
-fn live_handle_point_queries_use_the_owning_shard() {
-    let items = trace();
-    let config = PipelineConfig::new(4); // ByKey: every key has one owner
-    let mut pipeline = ShardedPipeline::new(&config, make_cms());
-    pipeline.extend(&items);
-    let epoch = pipeline.drain();
-    assert_eq!(epoch, items.len() as u64);
-
-    let handle = pipeline.live_handle();
-    assert_eq!(handle.shards(), 4);
-    assert_eq!(handle.acknowledged(), items.len() as u64);
-    let full = pipeline.snapshot();
-    let mut truth = std::collections::HashMap::new();
-    for &item in &items {
-        *truth.entry(item).or_insert(0i64) += 1;
-    }
-    for item in (0..UNIVERSE as u64).step_by(53) {
-        let owner = handle.owner_of(item).expect("by-key always has an owner");
-        assert!(owner < 4);
-        let fast = handle.estimate(item).expect("pipeline is live");
-        let exact = truth.get(&item).copied().unwrap_or(0);
-        // The owning shard holds the key's whole sub-stream: never below
-        // the truth, never above the merged view (which adds the other
-        // shards' collisions).
-        assert!(fast >= exact, "item {item}: {fast} < {exact}");
-        assert!(
-            fast <= full.estimate(item),
-            "item {item}: single-shard {fast} > merged {}",
-            full.estimate(item)
-        );
-    }
-    pipeline.finish();
-}
-
-#[test]
 fn snapshot_top_k_finds_the_heavy_hitters() {
     // Frequencies 1..=100 with ids 0..100: strongly separated, so the CMS
     // top-k (which never under-estimates under sum-merge) must surface the
@@ -191,11 +157,8 @@ fn handles_go_dark_after_finish() {
     pipeline.extend(&trace()[..10_000]);
     let handle: LiveHandle<_> = pipeline.live_handle();
     assert!(handle.snapshot().is_some());
-    assert!(handle.estimate(7).is_some());
     pipeline.finish();
     assert!(handle.snapshot().is_none(), "snapshot after finish");
-    assert!(handle.snapshot_shard(0).is_none(), "shard after finish");
-    assert!(handle.estimate(7).is_none(), "estimate after finish");
 }
 
 #[test]
@@ -207,33 +170,39 @@ fn cached_snapshots_reuse_views_within_the_staleness_budget() {
     pipeline.drain();
 
     // Generous budget: every query after the first is a cache hit, and all
-    // clones of the cached handle share the one entry (and the counters).
-    let cached = pipeline
-        .live_handle()
-        .cached(CachePolicy::new(Duration::from_secs(3_600), u64::MAX));
-    let sharer = cached.clone();
-    let first = cached.snapshot().expect("pipeline is live");
+    // sharers of the cache serve the one entry (and share the counters).
+    let cached = Arc::new(view_cache(
+        pipeline.live_handle(),
+        CachePolicy::new(Duration::from_secs(3_600), u64::MAX),
+    ));
+    let sharer = Arc::clone(&cached);
+    let first = cached.view().expect("pipeline is live");
     for _ in 0..9 {
-        let view = sharer.snapshot().expect("pipeline is live");
+        let view = sharer.view().expect("pipeline is live");
         assert_eq!(view.epoch(), first.epoch());
     }
-    assert_eq!(cached.misses(), 1, "one assembly served ten queries");
-    assert_eq!(cached.hits(), 9);
-    assert_eq!(sharer.hits(), 9, "clones share the counters");
+    assert_eq!(
+        cached.gauges().misses.get(),
+        1,
+        "one assembly served ten queries"
+    );
+    assert_eq!(cached.gauges().hits.get(), 9);
+    assert_eq!(sharer.gauges().hits.get(), 9, "clones share the counters");
 
     // An item-lag bound of zero expires the entry as soon as any new
     // update is acknowledged.
-    let strict = pipeline
-        .live_handle()
-        .cached(CachePolicy::new(Duration::from_secs(3_600), 0));
-    let before = strict.snapshot().expect("pipeline is live");
+    let strict = view_cache(
+        pipeline.live_handle(),
+        CachePolicy::new(Duration::from_secs(3_600), 0),
+    );
+    let before = strict.view().expect("pipeline is live");
     assert_eq!(before.epoch(), 30_000);
     pipeline.extend(&items[30_000..]);
     pipeline.drain();
-    let after = strict.snapshot().expect("pipeline is live");
+    let after = strict.view().expect("pipeline is live");
     assert_eq!(after.epoch(), UPDATES as u64, "lag bound forced a refresh");
-    assert_eq!(strict.misses(), 2);
-    assert_eq!(strict.hits(), 0);
+    assert_eq!(strict.gauges().misses.get(), 2);
+    assert_eq!(strict.gauges().hits.get(), 0);
     assert_eq!(strict.policy().max_lag_items, 0);
     pipeline.finish();
 }

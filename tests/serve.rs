@@ -134,9 +134,9 @@ fn serves_across_rescale_and_shard_death_with_monotone_epochs() {
 /// wide coalescing window, eight hammering clients see typed `Overloaded`
 /// responses carrying the configured backoff hint, while the pipeline
 /// behind the server keeps ingesting to a full drain.  The measured-load
-/// path sheds too: a backlog published into the shared gauges (what
-/// `LoadMonitor::with_gauges` does in production) turns queries away until
-/// it clears.
+/// path sheds too: a backlog published into the shared gauges (what a
+/// `LoadMonitor` whose gauges are the config's `load` does in production)
+/// turns queries away until it clears.
 #[test]
 fn overload_sheds_with_typed_responses_while_ingest_continues() {
     let items = trace();
@@ -284,12 +284,13 @@ fn subscriptions_stream_monotone_updates_and_finish_typed() {
     assert_eq!(stats.acknowledged, UPDATES as u64);
     assert!(stats.cache_hits + stats.cache_misses > 0);
     assert!(
-        server.cache_gauges().misses.get() > 0.0,
-        "the cache gauges mirror the hit/miss counters"
+        server.cache_gauges().misses.get() > 0,
+        "the cache gauges count the coalescer's misses"
     );
 
     // A finished pipeline ends the stream with a typed Finished within a
-    // few ticks (the snapshot cache's TTL may re-serve the last view once).
+    // few ticks (the coalescer's staleness budget may re-serve the last
+    // view once).
     pipeline.finish();
     let finished = loop {
         match sub.next_update() {

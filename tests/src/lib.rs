@@ -6,7 +6,12 @@
 //! sketching → metrics) and assert the *qualitative* results the paper
 //! reports (dominance relations, accuracy orderings, crossovers).
 
-use salsa_metrics::{GroundTruth, OnArrivalError};
+use std::sync::Arc;
+use std::time::Duration;
+
+use salsa_metrics::{CacheGauges, GroundTruth, OnArrivalError, ServeCounters};
+use salsa_pipeline::{LiveHandle, SnapshotSummary};
+use salsa_serve::{CachePolicy, Coalescer};
 use salsa_sketches::estimator::FrequencyEstimator;
 use salsa_workloads::TraceSpec;
 
@@ -28,6 +33,21 @@ pub fn on_arrival_nrmse(sketch: &mut dyn FrequencyEstimator, items: &[u64]) -> (
         err.record(sketch.estimate(item), exact as i64);
     }
     (err.nrmse(), truth)
+}
+
+/// The serve path's view cache over `handle` with a zero coalescing
+/// window: a single-flight cache under `policy` for in-process queries.
+pub fn view_cache<S: SnapshotSummary>(
+    handle: LiveHandle<S>,
+    policy: CachePolicy,
+) -> Coalescer<LiveHandle<S>, S> {
+    Coalescer::new(
+        handle,
+        policy,
+        Duration::ZERO,
+        Arc::new(ServeCounters::new()),
+        Arc::new(CacheGauges::new()),
+    )
 }
 
 #[cfg(test)]
