@@ -4,7 +4,10 @@
 //! lookup3 hash for index computations.  We implement the same mixing
 //! structure (the `mix`/`final` rounds of lookup3) over 32-bit lanes, with a
 //! fast path for 64-bit keys — the common case when items are flow
-//! identifiers or already-hashed 5-tuples.
+//! identifiers or already-hashed 5-tuples, and a batch form that hashes
+//! eight keys at a time in AVX2 lanes where the CPU has them.
+
+use crate::lanes;
 
 /// A seeded lookup3-style hash function.
 ///
@@ -104,6 +107,34 @@ impl BobHash {
         let (a, b, c) = mix(a, b, c);
         let (_, b, c) = final_mix(a, b, c);
         ((c as u64) << 32) | (b as u64)
+    }
+
+    /// Hashes every key of `keys` into the matching slot of `out`:
+    /// `out[i] == self.hash_u64(keys[i])`, bit for bit.
+    ///
+    /// This is the batch form of [`BobHash::hash_u64`].  On x86-64 CPUs
+    /// with AVX2 (detected at run time) it hashes eight keys per step in
+    /// vector lanes and the last fewer-than-eight keys with the scalar
+    /// loop; elsewhere it is the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keys` and `out` differ in length.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use salsa_hash::BobHash;
+    ///
+    /// let h = BobHash::new(7);
+    /// let keys: Vec<u64> = (0..20).collect();
+    /// let mut digests = [0u64; 20];
+    /// h.hash_u64_into(&keys, &mut digests);
+    /// assert!(keys.iter().zip(&digests).all(|(&k, &d)| d == h.hash_u64(k)));
+    /// ```
+    #[inline]
+    pub fn hash_u64_into(&self, keys: &[u64], out: &mut [u64]) {
+        lanes::hash_masked(*self, u64::MAX, keys, out);
     }
 
     /// Hashes a byte slice to a 64-bit digest.

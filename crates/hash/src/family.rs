@@ -1,6 +1,6 @@
 //! Families of independently seeded row hashers.
 
-use crate::{BobHash, SeedSequence};
+use crate::{lanes, BobHash, SeedSequence};
 
 /// A family of `d` independently seeded hash functions mapping items to
 /// buckets `[0, w)` — one function per sketch row.
@@ -60,6 +60,35 @@ impl RowHashers {
     #[inline(always)]
     pub fn bucket(&self, row: usize, key: u64) -> usize {
         self.hashers[row].bucket(key, self.width)
+    }
+
+    /// Buckets of every key of `keys` in row `row`, written into the
+    /// matching slots of `out`: `out[i] == self.bucket(row, keys[i])`.
+    ///
+    /// This is the batch form of [`RowHashers::bucket`], hashing eight keys
+    /// per step in AVX2 lanes where the CPU has them (see
+    /// [`BobHash::hash_u64_into`]).  Sketches call it once per row over a
+    /// whole batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row >= self.depth()` or `keys` and `out` differ in
+    /// length.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use salsa_hash::RowHashers;
+    ///
+    /// let hashers = RowHashers::new(4, 1 << 10, 42);
+    /// let keys: Vec<u64> = (100..120).collect();
+    /// let mut buckets = vec![0usize; keys.len()];
+    /// hashers.buckets_into(2, &keys, &mut buckets);
+    /// assert!(keys.iter().zip(&buckets).all(|(&k, &b)| b == hashers.bucket(2, k)));
+    /// ```
+    #[inline]
+    pub fn buckets_into(&self, row: usize, keys: &[u64], out: &mut [usize]) {
+        lanes::hash_masked(self.hashers[row], (self.width - 1) as u64, keys, out);
     }
 
     /// Raw 64-bit hash of `key` in row `row` (used by UnivMon level

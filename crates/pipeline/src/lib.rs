@@ -177,7 +177,8 @@ impl Partition {
 
 /// The shard that owns a key with router hash `hash` under
 /// [`Partition::ByKey`]: `hash % shards`.  The producer's routing
-/// ([`ShardedPipeline::shard_of`]) is its only caller.
+/// ([`ShardedPipeline::shard_of`] per item, [`ShardedPipeline::extend`]
+/// over digests hashed a chunk at a time) is its only user.
 #[inline]
 pub(crate) fn by_key_shard(hash: u64, shards: usize) -> usize {
     (hash % shards as u64) as usize

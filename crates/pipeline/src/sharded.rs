@@ -75,6 +75,11 @@ use crate::{by_key_shard, Partition, PipelineConfig, SnapshotSummary};
 /// freshly assembled snapshot can be (at most this many batches per shard).
 const CHANNEL_DEPTH: usize = 4;
 
+/// Keys whose router digests [`ShardedPipeline::extend`] hashes per
+/// [`BobHash::hash_u64_into`] call: a whole number of eight-key lane
+/// groups, small enough for a stack buffer.
+const HASH_CHUNK: usize = 64;
+
 /// Progress counters a worker publishes after every applied batch, read
 /// lock-free by [`LiveHandle`] (epochs and staleness accounting) and by the
 /// load monitor (queue depth and utilization sampling).
@@ -597,7 +602,11 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
             self.workers
                 .push(spawn_worker(self.seat(shard, 0, 0), sketch));
         }
-        self.buffers = vec![Vec::with_capacity(self.config.batch_size); shards];
+        // One `with_capacity` per buffer: `vec![buffer; n]` clones, and a
+        // cloned `Vec` drops its spare capacity.
+        self.buffers = (0..shards)
+            .map(|_| Vec::with_capacity(self.config.batch_size))
+            .collect();
         self.dispatched = vec![0; shards];
         self.settled = vec![0; shards];
         self.next_shard = 0;
@@ -720,21 +729,55 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         if self.config.partition == Partition::RoundRobin {
             self.next_shard = (self.next_shard + 1) % self.workers.len();
         }
+        self.buffer_item(shard, item)
+    }
+
+    /// Feeds a slice of items into the pipeline, exactly as pushing them
+    /// one by one would.
+    ///
+    /// Under [`Partition::ByKey`] the router digests of each 64 items
+    /// (`HASH_CHUNK`) are computed in one [`BobHash::hash_u64_into`] call
+    /// (AVX2 lanes where the CPU has them) into a stack buffer before the
+    /// items are routed.
+    pub fn extend(&mut self, items: &[u64]) {
+        if self.config.partition == Partition::RoundRobin {
+            for &item in items {
+                self.push(item);
+            }
+            return;
+        }
+        let mut digests = [0u64; HASH_CHUNK];
+        for chunk in items.chunks(HASH_CHUNK) {
+            let digests = &mut digests[..chunk.len()];
+            self.router.hash_u64_into(chunk, digests);
+            for (&item, &digest) in chunk.iter().zip(digests.iter()) {
+                let _ = self.buffer_item(by_key_shard(digest, self.workers.len()), item);
+            }
+        }
+    }
+
+    /// Appends a routed item to `shard`'s buffer and dispatches the buffer
+    /// once it holds a full batch, swapping in a fresh one with room for
+    /// the next.
+    #[inline]
+    fn buffer_item(&mut self, shard: usize, item: u64) -> Result<(), PipelineError> {
         self.pushed += 1;
         let buffer = &mut self.buffers[shard];
         buffer.push(item);
         if buffer.len() >= self.config.batch_size {
-            let batch = std::mem::replace(buffer, Vec::with_capacity(self.config.batch_size));
+            let batch = self.take_buffer(shard);
             return self.dispatch(shard, batch);
         }
         Ok(())
     }
 
-    /// Feeds a slice of items into the pipeline.
-    pub fn extend(&mut self, items: &[u64]) {
-        for &item in items {
-            self.push(item);
-        }
+    /// Takes `shard`'s buffer, leaving an empty one with room for a whole
+    /// batch, so the next pushes do not regrow it.
+    fn take_buffer(&mut self, shard: usize) -> Vec<u64> {
+        std::mem::replace(
+            &mut self.buffers[shard],
+            Vec::with_capacity(self.config.batch_size),
+        )
     }
 
     /// Dispatches every non-empty buffer to its worker, regardless of fill
@@ -742,7 +785,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     pub fn flush(&mut self) {
         for shard in 0..self.buffers.len() {
             if !self.buffers[shard].is_empty() {
-                let batch = std::mem::take(&mut self.buffers[shard]);
+                let batch = self.take_buffer(shard);
                 let _ = self.dispatch(shard, batch);
             }
         }
@@ -1330,6 +1373,64 @@ mod tests {
             let first = pipeline.shard_of(key);
             assert!(first < 5);
             assert_eq!(first, pipeline.shard_of(key), "routing must be pure");
+        }
+    }
+
+    /// Logs the items its shard applied, in order; a merge appends the
+    /// other summary's logs, so a finished pipeline's union lists every
+    /// shard's sub-stream.
+    #[derive(Debug, Clone, PartialEq)]
+    struct SubStreams(Vec<(usize, Vec<u64>)>);
+
+    impl crate::StreamSummary for SubStreams {
+        fn ingest(&mut self, items: &[u64]) {
+            self.0[0].1.extend_from_slice(items);
+        }
+
+        fn merge_from(&mut self, other: &Self) {
+            self.0.extend(other.0.iter().cloned());
+        }
+    }
+
+    impl SnapshotSummary for SubStreams {
+        fn clone_cost_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn extend_gives_each_shard_the_sub_stream_of_per_item_pushes() {
+        // Slices of every length 0..=200, back to back: each length once,
+        // so chunk tails, whole lane groups and multi-chunk slices all
+        // occur, and a batch size of 7 makes extend dispatch mid-slice.
+        let stream = zipfish_stream(200 * 201 / 2, 1 << 20, 23);
+        for partition in [Partition::ByKey, Partition::RoundRobin] {
+            for shards in [2, 3] {
+                let config = PipelineConfig::new(shards)
+                    .batch_size(7)
+                    .partition(partition);
+                let factory = |shard| SubStreams(vec![(shard, Vec::new())]);
+                let mut pushed = ShardedPipeline::new(&config, factory);
+                let mut extended = ShardedPipeline::new(&config, factory);
+                let mut rest = stream.as_slice();
+                for len in 0..=200 {
+                    let (slice, tail) = rest.split_at(len);
+                    for &item in slice {
+                        pushed.push(item);
+                    }
+                    extended.extend(slice);
+                    assert_eq!(extended.pushed(), pushed.pushed());
+                    rest = tail;
+                }
+                let (pushed, extended) = (pushed.finish(), extended.finish());
+                assert_eq!(extended.items, stream.len() as u64);
+                assert_eq!(
+                    extended.merged, pushed.merged,
+                    "{partition:?} over {shards} shards"
+                );
+                let total: usize = extended.merged.0.iter().map(|(_, log)| log.len()).sum();
+                assert_eq!(total, stream.len());
+            }
         }
     }
 

@@ -104,16 +104,16 @@ impl<R: Row> CountMin<R> {
     /// CMS updates are independent across rows, so reordering them is exact;
     /// the row-major order keeps one row's counters (and one hash function)
     /// hot in cache across the whole batch, which is what makes this the
-    /// pipeline's fast path.
+    /// pipeline's fast path.  Each row's buckets come from
+    /// [`RowHashers::buckets_into`], which hashes eight items at a time in
+    /// AVX2 lanes where the CPU has them, into the reused scratch buffer.
     pub fn update_batch(&mut self, items: &[u64]) {
-        let mut buckets = std::mem::take(&mut self.scratch);
-        let hashers = &self.hashers;
+        let buckets = &mut self.scratch;
+        buckets.resize(items.len(), 0);
         for (row_idx, row) in self.rows.iter_mut().enumerate() {
-            buckets.clear();
-            buckets.extend(items.iter().map(|&item| hashers.bucket(row_idx, item)));
-            row.add_unit_batch(&buckets);
+            self.hashers.buckets_into(row_idx, items, buckets);
+            row.add_unit_batch(buckets);
         }
-        self.scratch = buckets;
     }
 
     /// Estimates the frequency of `item` (minimum over the item's counters).

@@ -9,7 +9,15 @@
 //!    must have a `// SAFETY:` comment within the three preceding lines
 //!    (all scanned files).
 //! 2. **Crates declare their unsafety** — every `crates/*/src/lib.rs` must
-//!    carry `#![forbid(unsafe_code)]`.
+//!    carry `#![forbid(unsafe_code)]`, with one named exception:
+//!    `crates/hash/src/lib.rs` may carry `#![deny(unsafe_code)]` instead,
+//!    because its AVX2 lane kernel needs one `unsafe` call (a safe
+//!    `#[target_feature]` function called after run-time detection).  The
+//!    exception is capped: one lint run accepts exactly one attribute that
+//!    loosens `unsafe_code` (`allow`, `expect` or `warn`, as in
+//!    `#[allow(unsafe_code)]`), and only under `crates/hash/src`; one
+//!    anywhere else, or a second one there, is a finding (all scanned
+//!    files, test modules included).
 //! 3. **No bare `Ordering::Relaxed` on protocol state** — in the
 //!    concurrency-bearing crates (`pipeline`, `metrics`, `serve`), a
 //!    `Relaxed` access must carry a `// RELAXED-OK:` proof of why no
@@ -73,6 +81,9 @@ struct Scope {
     must_use: bool,
     /// Rule 2: this file is a crate root that must forbid unsafe code.
     crate_root: bool,
+    /// Rule 2: this file belongs to `crates/hash/src`, the one crate that
+    /// may deny (not forbid) unsafe code and hold the one allowed site.
+    unsafe_exception: bool,
     /// Rule 8: allocating constructs need `// ALLOC-OK:`.
     hot_path_alloc: bool,
 }
@@ -85,6 +96,7 @@ impl Scope {
             panics: true,
             must_use: true,
             crate_root: path.file_name().is_some_and(|n| n == "lib.rs"),
+            unsafe_exception: in_unsafe_exception(path),
             hot_path_alloc: true,
         }
     }
@@ -113,9 +125,34 @@ impl Scope {
                 || in_crate("core"),
             must_use: in_crate("pipeline"),
             crate_root: normalized.contains("crates/") && normalized.ends_with("/src/lib.rs"),
+            unsafe_exception: in_unsafe_exception(path),
             hot_path_alloc: normalized.contains("crates/") && hot_module,
         }
     }
+}
+
+/// Rule 2's one exception: sources under `crates/hash/src` (in both modes,
+/// so a fixture reproduces it by mirroring that path).
+fn in_unsafe_exception(path: &Path) -> bool {
+    path.to_string_lossy()
+        .replace('\\', "/")
+        .contains("crates/hash/src/")
+}
+
+/// Rule 2's cap: `#[allow(unsafe_code)]` sites one lint run accepts, all
+/// of them under `crates/hash/src`.
+const UNSAFE_ALLOW_CAP: usize = 1;
+
+/// Rule 2: the lint level a line sets on `unsafe_code` if that level lets
+/// unsafe code compile — `allow`, `expect` (an allow that also demands a
+/// use) or `warn` — so each spelling counts as one site toward the cap.
+fn unsafe_code_opened(code: &str) -> Option<&'static str> {
+    if !has_token(code, "unsafe_code") {
+        return None;
+    }
+    ["allow", "expect", "warn"]
+        .into_iter()
+        .find(|level| code.contains(&format!("{level}(")))
 }
 
 /// The `unsafe` keyword, assembled so the scanner's own source never
@@ -225,8 +262,16 @@ fn has_annotation(lines: &[&str], idx: usize, marker: &str) -> bool {
     lines[start..=idx].iter().any(|line| line.contains(marker))
 }
 
-/// Scans one file's source and appends findings.
-fn scan_source(path_label: &str, source: &str, scope: Scope, findings: &mut Vec<Finding>) {
+/// Scans one file's source and appends findings.  `unsafe_allows` counts
+/// the `#[allow(unsafe_code)]` sites the run has accepted so far (rule 2's
+/// cap spans files).
+fn scan_source(
+    path_label: &str,
+    source: &str,
+    scope: Scope,
+    findings: &mut Vec<Finding>,
+    unsafe_allows: &mut usize,
+) {
     let lines: Vec<&str> = source.lines().collect();
     let mask = test_mask(&lines);
     let mut push = |line: usize, rule: &'static str, message: String| {
@@ -239,15 +284,43 @@ fn scan_source(path_label: &str, source: &str, scope: Scope, findings: &mut Vec<
     };
 
     if scope.crate_root && !source.contains("#![forbid(unsafe_code)]") {
-        push(
-            0,
-            "forbid-unsafe",
-            "crate root must declare #![forbid(unsafe_code)]".to_string(),
-        );
+        let denies = source.contains("#![deny(unsafe_code)]");
+        if !(denies && scope.unsafe_exception) {
+            let message = if denies {
+                "#![deny(unsafe_code)] is reserved for crates/hash/src/lib.rs; \
+                 declare #![forbid(unsafe_code)]"
+            } else {
+                "crate root must declare #![forbid(unsafe_code)]"
+            };
+            push(0, "forbid-unsafe", message.to_string());
+        }
     }
 
     for (idx, raw) in lines.iter().enumerate() {
         let code = strip_code(raw);
+        // Rule 2's allow sites count everywhere, test modules included.
+        if let Some(level) = unsafe_code_opened(&code) {
+            if !scope.unsafe_exception {
+                push(
+                    idx,
+                    "unsafe-allow",
+                    format!("{level}(unsafe_code) outside crates/hash/src"),
+                );
+            } else {
+                *unsafe_allows += 1;
+                if *unsafe_allows > UNSAFE_ALLOW_CAP {
+                    push(
+                        idx,
+                        "unsafe-allow",
+                        format!(
+                            "{level}(unsafe_code) is site {} of at most {UNSAFE_ALLOW_CAP} \
+                             in crates/hash/src",
+                            *unsafe_allows
+                        ),
+                    );
+                }
+            }
+        }
         // Rule 1 applies even inside test modules: a test's soundness
         // argument is as load-bearing as a library's.
         if has_token(&code, unsafe_keyword()) && !has_annotation(&lines, idx, "// SAFETY:") {
@@ -423,6 +496,7 @@ fn lint_tree(workspace: &Path) -> Result<Vec<Finding>, String> {
     collect_tree_files(&workspace.join("crates"), &mut files)?;
     files.sort();
     let mut findings = Vec::new();
+    let mut unsafe_allows = 0;
     for path in &files {
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
@@ -431,7 +505,8 @@ fn lint_tree(workspace: &Path) -> Result<Vec<Finding>, String> {
             .unwrap_or(path)
             .to_string_lossy()
             .replace('\\', "/");
-        scan_source(&label, &source, Scope::for_tree_path(path), &mut findings);
+        let scope = Scope::for_tree_path(path);
+        scan_source(&label, &source, scope, &mut findings, &mut unsafe_allows);
     }
     Ok(findings)
 }
@@ -439,11 +514,13 @@ fn lint_tree(workspace: &Path) -> Result<Vec<Finding>, String> {
 /// Lints explicitly named files with every rule enabled.
 fn lint_files(paths: &[String]) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
+    let mut unsafe_allows = 0;
     for raw in paths {
         let path = Path::new(raw);
         let source =
             std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        scan_source(raw, &source, Scope::strict(path), &mut findings);
+        let scope = Scope::strict(path);
+        scan_source(raw, &source, scope, &mut findings, &mut unsafe_allows);
     }
     Ok(findings)
 }
@@ -541,6 +618,26 @@ mod tests {
             vec!["hot-path-alloc"; 4],
             "Vec::new, vec!, to_vec and clone each trip: {allocs:?}"
         );
+        let second_allow = strict_findings("bad/second_unsafe_allow/crates/hash/src/lib.rs");
+        assert_eq!(
+            rules(&second_allow),
+            vec!["unsafe-allow"],
+            "only the second allow site trips; the deny root is the exception: {second_allow:?}"
+        );
+        assert_eq!(second_allow[0].line, 16, "{second_allow:?}");
+        let second_expect = strict_findings("bad/second_unsafe_expect/crates/hash/src/lib.rs");
+        assert_eq!(
+            rules(&second_expect),
+            vec!["unsafe-allow"],
+            "an expect site counts toward the cap like an allow: {second_expect:?}"
+        );
+        assert_eq!(second_expect[0].line, 16, "{second_expect:?}");
+        let deny_elsewhere = strict_findings("bad/deny_outside_hash/lib.rs");
+        assert_eq!(
+            rules(&deny_elsewhere),
+            vec!["forbid-unsafe"],
+            "deny is no substitute for forbid outside crates/hash: {deny_elsewhere:?}"
+        );
     }
 
     #[test]
@@ -552,6 +649,7 @@ mod tests {
             "good/deprecated_note.rs",
             "good/catch_unwind_ok.rs",
             "good/hot_path_alloc_ok.rs",
+            "good/audited_unsafe/crates/hash/src/lib.rs",
         ] {
             let findings = strict_findings(rel);
             assert!(findings.is_empty(), "{rel}: {findings:?}");
@@ -587,6 +685,49 @@ mod tests {
         let path = Path::new("crates/serve/src/coalesce.rs");
         assert!(Scope::for_tree_path(path).hot_path_alloc);
         assert!(!Scope::for_tree_path(Path::new("crates/serve/src/server.rs")).hot_path_alloc);
+    }
+
+    /// Runs rule 2 over `(path, source)` files in one run, in tree scope.
+    fn tree_findings(files: &[(&str, &str)]) -> Vec<Finding> {
+        let mut findings = Vec::new();
+        let mut unsafe_allows = 0;
+        for (path, source) in files {
+            let scope = Scope::for_tree_path(Path::new(path));
+            scan_source(path, source, scope, &mut findings, &mut unsafe_allows);
+        }
+        findings
+    }
+
+    #[test]
+    fn unsafe_allow_cap_spans_files_and_names_one_crate() {
+        let allow = "#[allow(unsafe_code)]\nfn f() {}\n";
+        let one = tree_findings(&[("crates/hash/src/lanes.rs", allow)]);
+        assert!(one.is_empty(), "{one:?}");
+        let two = tree_findings(&[
+            ("crates/hash/src/lanes.rs", allow),
+            ("crates/hash/src/bob.rs", allow),
+        ]);
+        assert_eq!(rules(&two), vec!["unsafe-allow"], "{two:?}");
+        assert_eq!(two[0].file, "crates/hash/src/bob.rs");
+        let elsewhere = tree_findings(&[("crates/core/src/row.rs", allow)]);
+        assert_eq!(rules(&elsewhere), vec!["unsafe-allow"], "{elsewhere:?}");
+        for opener in ["#[expect(unsafe_code)]\n", "#![warn(unsafe_code)]\n"] {
+            let after_allow = tree_findings(&[
+                ("crates/hash/src/lanes.rs", allow),
+                ("crates/hash/src/bob.rs", opener),
+            ]);
+            assert_eq!(rules(&after_allow), vec!["unsafe-allow"], "{after_allow:?}");
+            let elsewhere = tree_findings(&[("crates/core/src/row.rs", opener)]);
+            assert_eq!(rules(&elsewhere), vec!["unsafe-allow"], "{elsewhere:?}");
+        }
+        let closers = "#![forbid(unsafe_code)]\n#[deny(unsafe_code)]\nfn f() {}\n";
+        assert!(tree_findings(&[("crates/core/src/row.rs", closers)]).is_empty());
+        let deny_root = "#![deny(unsafe_code)]\n";
+        assert!(tree_findings(&[("crates/hash/src/lib.rs", deny_root)]).is_empty());
+        assert_eq!(
+            rules(&tree_findings(&[("crates/core/src/lib.rs", deny_root)])),
+            vec!["forbid-unsafe"]
+        );
     }
 
     #[test]

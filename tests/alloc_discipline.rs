@@ -10,16 +10,21 @@
 //! merges (simple and compact encoding) and subtractions into a refreshed
 //! destination buffer touch the heap **zero times**; so do batched
 //! updates into a warm SALSA CMS (simple and compact encoding) and
-//! resetting it.  This test proves it with a
+//! resetting it; and the producer buffers pushed items into batch buffers
+//! that already have room for a whole batch, both on a fresh pipeline and
+//! after a flush.  This test proves it with a
 //! counting `#[global_allocator]` rather than asserting it from code
 //! review: any `Vec` growth, `clone`, or box sneaking back into the
 //! serve/merge/ingest path fails the count.
 //!
 //! All phases live in one `#[test]` on purpose — the allocation counter
 //! is process-global, so concurrently running test threads would pollute
-//! each other's windows.
+//! each other's windows.  The producer phase counts the pushing thread's
+//! own allocations, because freshly started or just-flushed shard workers
+//! may still be allocating on their own threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -36,11 +41,23 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The calling thread's share of `ALLOCATIONS`.  Const-initialized and
+    /// without a destructor, so reading it never allocates.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
 // SAFETY: every method forwards verbatim to the system allocator; the
-// relaxed counter bump has no effect on allocation semantics.
+// counter bumps (a relaxed atomic and a thread-local `Cell`, neither of
+// which allocates) have no effect on allocation semantics.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `layout` is forwarded unchanged from our caller.
         unsafe { System.alloc(layout) }
     }
@@ -51,14 +68,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `ptr`/`layout` describe a live `System` allocation and
         // are forwarded unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: `layout` is forwarded unchanged from our caller.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -69,6 +86,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
 }
 
 const SHARDS: usize = 4;
@@ -282,4 +303,36 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     );
     assert_eq!(simple.estimate(items[0]), 0);
     assert_eq!(compact.estimate(items[0]), 0);
+
+    // --- Phase 5: the producer's batch buffers have room for a whole
+    // batch, on a fresh pipeline and right after a flush. ---
+    let config = PipelineConfig::new(2);
+    let fill = &items[..config.batch_size - 1];
+    let mut pipeline = ShardedPipeline::new(&config, |_| cms());
+
+    let before = thread_allocations();
+    for &item in fill {
+        pipeline.push(item);
+    }
+    let fresh_allocs = thread_allocations() - before;
+    assert_eq!(
+        fresh_allocs,
+        0,
+        "pushing {} items into a fresh pipeline must not grow its batch \
+         buffers ({fresh_allocs} allocations)",
+        fill.len()
+    );
+
+    pipeline.flush();
+    let before = thread_allocations();
+    pipeline.extend(fill);
+    let flushed_allocs = thread_allocations() - before;
+    assert_eq!(
+        flushed_allocs,
+        0,
+        "pushing {} items right after a flush must not grow its batch \
+         buffers ({flushed_allocs} allocations)",
+        fill.len()
+    );
+    assert_eq!(pipeline.finish().items as usize, 2 * fill.len());
 }
