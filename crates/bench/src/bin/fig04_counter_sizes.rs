@@ -33,7 +33,7 @@ fn main() {
         for (variant, build) in &cms_variants {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(spec, args.updates, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });
@@ -60,7 +60,7 @@ fn main() {
         for (variant, build) in &cs_variants {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(spec, args.updates, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });

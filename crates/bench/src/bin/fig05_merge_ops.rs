@@ -21,7 +21,7 @@ fn main() {
         for (name, op) in [("Max", MergeOp::Max), ("Sum", MergeOp::Sum)] {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(TraceSpec::CaidaNy18, args.updates, seed);
-                let mut sketch = salsa_cms(budget, 8, op, seed).sketch;
+                let mut sketch = salsa_cms(budget, 8, op, seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });
@@ -44,7 +44,7 @@ fn main() {
                     skew,
                 };
                 let items = trace_items(spec, args.updates, seed);
-                let mut sketch = salsa_cms(2 << 20, 8, op, seed).sketch;
+                let mut sketch = salsa_cms(2 << 20, 8, op, seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });

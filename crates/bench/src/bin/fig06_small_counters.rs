@@ -39,7 +39,7 @@ fn main() {
         for (name, build) in variants(budget) {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(spec, args.updates, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 final_errors(sketch.as_mut(), &items, phi).are
             });
             csv_row(&[
@@ -58,7 +58,7 @@ fn main() {
         for (name, build) in variants(budget) {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(spec, len, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 final_errors(sketch.as_mut(), &items, 1e-4).are
             });
             csv_row(&[

@@ -36,7 +36,7 @@ fn main() {
         for (name, build) in variants(budget) {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(TraceSpec::CaidaNy18, args.updates, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });
@@ -58,7 +58,7 @@ fn main() {
                     skew,
                 };
                 let items = trace_items(spec, args.updates, seed);
-                let mut sketch = build(seed).sketch;
+                let mut sketch = build(seed);
                 let (err, _) = on_arrival(sketch.as_mut(), &items);
                 err.nrmse()
             });

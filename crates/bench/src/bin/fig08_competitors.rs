@@ -59,14 +59,14 @@ fn main() {
                     let seed = args.seed.wrapping_add(t as u64 * 7919);
                     let items = trace_items(spec, args.updates, seed);
                     // On-arrival error pass.
-                    let mut sketch = build(seed).sketch;
+                    let mut sketch = build(seed);
                     let (err, _) = on_arrival(sketch.as_mut(), &items);
                     nrmse.push(err.nrmse());
                     // Pure-update throughput pass (no queries).
-                    let mut sketch = build(seed).sketch;
+                    let mut sketch = build(seed);
                     mops.push(update_throughput(sketch.as_mut(), &items));
                     // Final AAE/ARE over all items with non-zero frequency.
-                    let mut sketch = build(seed).sketch;
+                    let mut sketch = build(seed);
                     let e = final_errors(sketch.as_mut(), &items, 0.0);
                     aae.push(e.aae);
                     are.push(e.are);

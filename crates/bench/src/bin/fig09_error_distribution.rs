@@ -45,7 +45,7 @@ fn main() {
             ),
         ];
         for (name, build) in algorithms {
-            let mut sketch = build(args.seed).sketch;
+            let mut sketch = build(args.seed);
             for &item in &items {
                 sketch.update(item, 1);
             }

@@ -50,13 +50,13 @@ fn main() {
             for (name, build) in algorithms(budget) {
                 let summary = run_trials(args.trials, args.seed, |seed| {
                     let items = trace_items(spec, args.updates, seed);
-                    let mut sketch = build(seed).sketch;
+                    let mut sketch = build(seed);
                     let (err, _) = on_arrival(sketch.as_mut(), &items);
                     err.nrmse()
                 });
                 // Separate pure-update throughput measurement (single trial).
                 let items = trace_items(spec, args.updates, args.seed);
-                let mut sketch = build(args.seed).sketch;
+                let mut sketch = build(args.seed);
                 let mops = update_throughput(sketch.as_mut(), &items);
                 csv_row(&[
                     spec.name(),

@@ -59,9 +59,9 @@ fn main() {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(TraceSpec::CaidaNy18, args.updates, seed);
                 let mut sketch = if salsa {
-                    salsa_cs(topk_budget, 8, seed).sketch
+                    salsa_cs(topk_budget, 8, seed)
                 } else {
-                    baseline_cs(topk_budget, seed).sketch
+                    baseline_cs(topk_budget, seed)
                 };
                 topk_accuracy_run(sketch.as_mut(), &items, k)
             });
@@ -85,9 +85,9 @@ fn main() {
             let summary = run_trials(args.trials, args.seed, |seed| {
                 let items = trace_items(spec, args.updates, seed);
                 let mut sketch = if salsa {
-                    salsa_cs(topk_budget, 8, seed).sketch
+                    salsa_cs(topk_budget, 8, seed)
                 } else {
-                    baseline_cs(topk_budget, seed).sketch
+                    baseline_cs(topk_budget, seed)
                 };
                 topk_accuracy_run(sketch.as_mut(), &items, 1024)
             });

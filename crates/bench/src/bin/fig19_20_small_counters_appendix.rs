@@ -42,14 +42,14 @@ fn main() {
                 let estimates: Box<dyn Fn(u64) -> u64> = match kind {
                     None => Box::new(|_| 0u64),
                     Some(0) => {
-                        let mut s = salsa_cms(budget, 8, MergeOp::Max, seed).sketch;
+                        let mut s = salsa_cms(budget, 8, MergeOp::Max, seed);
                         for &i in &items {
                             s.update(i, 1);
                         }
                         Box::new(move |item| s.estimate(item).max(0) as u64)
                     }
                     Some(bits) => {
-                        let mut s = small_counter_cms(budget, *bits, seed).sketch;
+                        let mut s = small_counter_cms(budget, *bits, seed);
                         for &i in &items {
                             s.update(i, 1);
                         }

@@ -22,51 +22,30 @@ pub const SALSA_BITS: u32 = 8;
 
 /// A seed-parameterised sketch factory, used by the experiment binaries to
 /// rebuild a fresh sketch for every trial.
-pub type SketchBuilder = Box<dyn Fn(u64) -> NamedSketch>;
-
-/// A boxed sketch plus a label, as produced by the builders below.
-pub struct NamedSketch {
-    /// Display name used in CSV output.
-    pub label: String,
-    /// The sketch itself.
-    pub sketch: Box<dyn FrequencyEstimator>,
-}
-
-impl NamedSketch {
-    fn new(label: impl Into<String>, sketch: impl FrequencyEstimator + 'static) -> Self {
-        Self {
-            label: label.into(),
-            sketch: Box::new(sketch),
-        }
-    }
-}
+pub type SketchBuilder = Box<dyn Fn(u64) -> Box<dyn FrequencyEstimator>>;
 
 /// Baseline CMS (32-bit counters) sized for `budget_bytes`.
-pub fn baseline_cms(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn baseline_cms(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CMS_DEPTH, BASELINE_BITS);
-    NamedSketch::new(
-        "Baseline CMS",
-        CountMin::baseline(CMS_DEPTH, w, BASELINE_BITS, seed),
-    )
+    Box::new(CountMin::baseline(CMS_DEPTH, w, BASELINE_BITS, seed))
 }
 
 /// CMS with small fixed (saturating) counters of `bits` bits — the
 /// "can one simply use small counters?" baseline of Fig. 6 / Figs. 19–20.
-pub fn small_counter_cms(budget_bytes: usize, bits: u32, seed: u64) -> NamedSketch {
+pub fn small_counter_cms(budget_bytes: usize, bits: u32, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CMS_DEPTH, bits);
-    NamedSketch::new(
-        format!("CMS ({bits}-bit)"),
-        CountMin::baseline(CMS_DEPTH, w, bits, seed),
-    )
+    Box::new(CountMin::baseline(CMS_DEPTH, w, bits, seed))
 }
 
 /// SALSA CMS with `base_bits`-bit counters and the simple encoding.
-pub fn salsa_cms(budget_bytes: usize, base_bits: u32, merge_op: MergeOp, seed: u64) -> NamedSketch {
+pub fn salsa_cms(
+    budget_bytes: usize,
+    base_bits: u32,
+    merge_op: MergeOp,
+    seed: u64,
+) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, base_bits, 1.0);
-    NamedSketch::new(
-        format!("SALSA CMS (s={base_bits})"),
-        CountMin::salsa(CMS_DEPTH, w, base_bits, merge_op, seed),
-    )
+    Box::new(CountMin::salsa(CMS_DEPTH, w, base_bits, merge_op, seed))
 }
 
 /// SALSA CMS with the near-optimal (compact) encoding.
@@ -75,57 +54,51 @@ pub fn salsa_cms_compact(
     base_bits: u32,
     merge_op: MergeOp,
     seed: u64,
-) -> NamedSketch {
+) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, base_bits, 0.594);
-    NamedSketch::new(
-        format!("SALSA CMS compact (s={base_bits})"),
-        CountMin::salsa_compact(CMS_DEPTH, w, base_bits, merge_op, seed),
-    )
+    Box::new(CountMin::salsa_compact(
+        CMS_DEPTH, w, base_bits, merge_op, seed,
+    ))
 }
 
 /// Tango CMS with `base_bits`-bit counters.
-pub fn tango_cms(budget_bytes: usize, base_bits: u32, merge_op: MergeOp, seed: u64) -> NamedSketch {
+pub fn tango_cms(
+    budget_bytes: usize,
+    base_bits: u32,
+    merge_op: MergeOp,
+    seed: u64,
+) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, base_bits, 1.0);
-    NamedSketch::new(
-        format!("Tango CMS (s={base_bits})"),
-        CountMin::tango(CMS_DEPTH, w, base_bits, merge_op, seed),
-    )
+    Box::new(CountMin::tango(CMS_DEPTH, w, base_bits, merge_op, seed))
 }
 
 /// Baseline CUS (32-bit counters).
-pub fn baseline_cus(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn baseline_cus(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CMS_DEPTH, BASELINE_BITS);
-    NamedSketch::new(
-        "Baseline CUS",
-        ConservativeUpdate::baseline(CMS_DEPTH, w, BASELINE_BITS, seed),
-    )
+    Box::new(ConservativeUpdate::baseline(
+        CMS_DEPTH,
+        w,
+        BASELINE_BITS,
+        seed,
+    ))
 }
 
 /// SALSA CUS (8-bit base counters, max-merge).
-pub fn salsa_cus(budget_bytes: usize, base_bits: u32, seed: u64) -> NamedSketch {
+pub fn salsa_cus(budget_bytes: usize, base_bits: u32, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, base_bits, 1.0);
-    NamedSketch::new(
-        format!("SALSA CUS (s={base_bits})"),
-        ConservativeUpdate::salsa(CMS_DEPTH, w, base_bits, seed),
-    )
+    Box::new(ConservativeUpdate::salsa(CMS_DEPTH, w, base_bits, seed))
 }
 
 /// Baseline Count Sketch (32-bit counters).
-pub fn baseline_cs(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn baseline_cs(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CS_DEPTH, BASELINE_BITS);
-    NamedSketch::new(
-        "Baseline CS",
-        CountSketch::baseline(CS_DEPTH, w, BASELINE_BITS, seed),
-    )
+    Box::new(CountSketch::baseline(CS_DEPTH, w, BASELINE_BITS, seed))
 }
 
 /// SALSA Count Sketch (`base_bits`-bit sign-magnitude counters).
-pub fn salsa_cs(budget_bytes: usize, base_bits: u32, seed: u64) -> NamedSketch {
+pub fn salsa_cs(budget_bytes: usize, base_bits: u32, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CS_DEPTH, base_bits, 1.0);
-    NamedSketch::new(
-        format!("SALSA CS (s={base_bits})"),
-        CountSketch::salsa(CS_DEPTH, w, base_bits, seed),
-    )
+    Box::new(CountSketch::salsa(CS_DEPTH, w, base_bits, seed))
 }
 
 /// Pyramid Sketch sized for the budget.
@@ -134,62 +107,55 @@ pub fn salsa_cs(budget_bytes: usize, base_bits: u32, seed: u64) -> NamedSketch {
 /// uses `w·bits·(1 + ½ + ¼ + …) < 2·w·bits` bits in total, so the base layer
 /// is sized to the largest power of two whose doubled cost still fits the
 /// budget.
-pub fn pyramid_cms(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn pyramid_cms(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     // Total bits of a pyramid with base width w: w·b·(1 + 1/2 + 1/4 + …) < 2·w·b.
     let bits = SALSA_BITS;
     let mut w = 2usize;
     while 2 * (w * 2) * bits as usize <= budget_bytes * 8 {
         w *= 2;
     }
-    NamedSketch::new("Pyramid", PyramidSketch::new(CMS_DEPTH, w, bits, seed))
+    Box::new(PyramidSketch::new(CMS_DEPTH, w, bits, seed))
 }
 
 /// ABC sized for the budget (single array of 8-bit counters addressed by `d`
 /// hashes; the 3 combine-marker bits live inside combined counters).
-pub fn abc_cms(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn abc_cms(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let bits = SALSA_BITS;
     let mut w = 2usize;
     while (w * 2) * bits as usize <= budget_bytes * 8 {
         w *= 2;
     }
-    NamedSketch::new("ABC", AbcSketch::new(CMS_DEPTH, w, bits, seed))
+    Box::new(AbcSketch::new(CMS_DEPTH, w, bits, seed))
 }
 
 /// AEE MaxAccuracy (8-bit counters + sampling, downsample on overflow).
-pub fn aee_max_accuracy(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn aee_max_accuracy(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CMS_DEPTH, SALSA_BITS);
-    NamedSketch::new(
-        "AEE MaxAccuracy",
-        AeeCountMin::max_accuracy(CMS_DEPTH, w, SALSA_BITS, seed),
-    )
+    Box::new(AeeCountMin::max_accuracy(CMS_DEPTH, w, SALSA_BITS, seed))
 }
 
 /// AEE MaxSpeed (8-bit counters, periodic downsampling).
-pub fn aee_max_speed(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn aee_max_speed(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget(budget_bytes, CMS_DEPTH, SALSA_BITS);
     // Downsample once the sketch has absorbed roughly a tenth of its counter
     // capacity, which keeps counters far from overflow (the speed-optimal
     // regime).
     let every = (CMS_DEPTH * w) as u64 * 16;
-    NamedSketch::new(
-        "AEE MaxSpeed",
-        AeeCountMin::max_speed(CMS_DEPTH, w, SALSA_BITS, every, seed),
-    )
+    Box::new(AeeCountMin::max_speed(
+        CMS_DEPTH, w, SALSA_BITS, every, seed,
+    ))
 }
 
 /// SALSA-AEE (hybrid merge / downsample).
-pub fn salsa_aee(budget_bytes: usize, seed: u64) -> NamedSketch {
+pub fn salsa_aee(budget_bytes: usize, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, SALSA_BITS, 1.0);
-    NamedSketch::new("SALSA AEE", SalsaAee::with_dimensions(CMS_DEPTH, w, seed))
+    Box::new(SalsaAee::with_dimensions(CMS_DEPTH, w, seed))
 }
 
 /// SALSA-AEE`d` (speed variant, `d` forced downsamplings).
-pub fn salsa_aee_d(budget_bytes: usize, d: u32, seed: u64) -> NamedSketch {
+pub fn salsa_aee_d(budget_bytes: usize, d: u32, seed: u64) -> Box<dyn FrequencyEstimator> {
     let w = width_for_budget_bits(budget_bytes, CMS_DEPTH, SALSA_BITS, 1.0);
-    NamedSketch::new(
-        format!("SALSA AEE{d}"),
-        SalsaAee::speed_variant(CMS_DEPTH, w, d, seed),
-    )
+    Box::new(SalsaAee::speed_variant(CMS_DEPTH, w, d, seed))
 }
 
 /// The memory sweep (in bytes) used by the "vs memory" figures: 16 KB to
@@ -211,14 +177,14 @@ mod tests {
     fn builders_respect_budgets() {
         for budget in memory_sweep() {
             let tolerance = budget + budget / 8; // power-of-two rounding slack
-            assert!(baseline_cms(budget, 1).sketch.size_bytes() <= tolerance);
-            assert!(salsa_cms(budget, 8, MergeOp::Max, 1).sketch.size_bytes() <= tolerance);
-            assert!(salsa_cus(budget, 8, 1).sketch.size_bytes() <= tolerance);
-            assert!(baseline_cs(budget, 1).sketch.size_bytes() <= tolerance);
-            assert!(salsa_cs(budget, 8, 1).sketch.size_bytes() <= tolerance);
-            assert!(pyramid_cms(budget, 1).sketch.size_bytes() <= tolerance);
-            assert!(abc_cms(budget, 1).sketch.size_bytes() <= tolerance);
-            assert!(salsa_aee(budget, 1).sketch.size_bytes() <= tolerance);
+            assert!(baseline_cms(budget, 1).size_bytes() <= tolerance);
+            assert!(salsa_cms(budget, 8, MergeOp::Max, 1).size_bytes() <= tolerance);
+            assert!(salsa_cus(budget, 8, 1).size_bytes() <= tolerance);
+            assert!(baseline_cs(budget, 1).size_bytes() <= tolerance);
+            assert!(salsa_cs(budget, 8, 1).size_bytes() <= tolerance);
+            assert!(pyramid_cms(budget, 1).size_bytes() <= tolerance);
+            assert!(abc_cms(budget, 1).size_bytes() <= tolerance);
+            assert!(salsa_aee(budget, 1).size_bytes() <= tolerance);
         }
     }
 
@@ -229,21 +195,11 @@ mod tests {
         let salsa = salsa_cms(budget, 8, MergeOp::Max, 1);
         // Equal-ish budgets but SALSA has ~3.5× the counters: verify via the
         // size accounting (same order of bytes, different counter widths).
-        let b = baseline.sketch.size_bytes();
-        let s = salsa.sketch.size_bytes();
+        let b = baseline.size_bytes();
+        let s = salsa.size_bytes();
         assert!(
             s <= b,
             "SALSA {s} should fit within the baseline budget {b}"
         );
-    }
-
-    #[test]
-    fn labels_are_informative() {
-        assert_eq!(baseline_cms(1 << 20, 1).label, "Baseline CMS");
-        assert_eq!(
-            salsa_cms(1 << 20, 8, MergeOp::Max, 1).label,
-            "SALSA CMS (s=8)"
-        );
-        assert_eq!(salsa_aee_d(1 << 20, 10, 1).label, "SALSA AEE10");
     }
 }

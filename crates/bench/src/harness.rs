@@ -142,7 +142,7 @@ mod tests {
             20_000,
             1,
         );
-        let mut sketch = salsa_cms(64 * 1024, 8, MergeOp::Max, 1).sketch;
+        let mut sketch = salsa_cms(64 * 1024, 8, MergeOp::Max, 1);
         let (err, mops) = on_arrival(sketch.as_mut(), &items);
         assert_eq!(err.samples(), 20_000);
         assert!(err.nrmse().is_finite());
@@ -161,8 +161,8 @@ mod tests {
             3,
         );
         let budget = 32 * 1024;
-        let mut base = baseline_cms(budget, 7).sketch;
-        let mut salsa = salsa_cms(budget, 8, MergeOp::Max, 7).sketch;
+        let mut base = baseline_cms(budget, 7);
+        let mut salsa = salsa_cms(budget, 8, MergeOp::Max, 7);
         let (base_err, _) = on_arrival(base.as_mut(), &items);
         let (salsa_err, _) = on_arrival(salsa.as_mut(), &items);
         assert!(
@@ -183,9 +183,9 @@ mod tests {
             50_000,
             5,
         );
-        let mut sketch = baseline_cms(256 * 1024, 3).sketch;
+        let mut sketch = baseline_cms(256 * 1024, 3);
         let all = final_errors(sketch.as_mut(), &items, 0.0);
-        let mut sketch2 = baseline_cms(256 * 1024, 3).sketch;
+        let mut sketch2 = baseline_cms(256 * 1024, 3);
         let heavy = final_errors(sketch2.as_mut(), &items, 1e-3);
         // Relative error on heavy hitters is much smaller than on the tail.
         assert!(heavy.are <= all.are);
@@ -201,7 +201,7 @@ mod tests {
             100_000,
             9,
         );
-        let mut sketch = salsa_cs(256 * 1024, 8, 9).sketch;
+        let mut sketch = salsa_cs(256 * 1024, 8, 9);
         let acc = topk_accuracy_run(sketch.as_mut(), &items, 32);
         assert!(acc > 0.8, "top-k accuracy {acc}");
     }

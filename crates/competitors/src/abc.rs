@@ -16,6 +16,7 @@
 use salsa_core::storage::{unsigned_capacity, BitStorage};
 use salsa_hash::RowHashers;
 use salsa_sketches::estimator::FrequencyEstimator;
+use salsa_sketches::summary::FrequencyQueries;
 
 /// Combination state of a counter slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,16 +209,14 @@ impl FrequencyEstimator for AbcSketch {
         AbcSketch::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        AbcSketch::estimate(self, item).min(i64::MAX as u64) as i64
-    }
-
     fn size_bytes(&self) -> usize {
         AbcSketch::size_bytes(self)
     }
+}
 
-    fn name(&self) -> String {
-        "ABC".to_string()
+impl FrequencyQueries for AbcSketch {
+    fn estimate(&self, item: u64) -> i64 {
+        AbcSketch::estimate(self, item).min(i64::MAX as u64) as i64
     }
 }
 

@@ -13,9 +13,10 @@
 //!   and cannot combine again.
 //!
 //! Both are re-implemented from their papers' descriptions with the
-//! configurations the SALSA paper says it used, and both expose the common
-//! [`salsa_sketches::estimator::FrequencyEstimator`] interface so the
-//! experiment harness can drive them interchangeably with CMS/SALSA.
+//! configurations the SALSA paper says it used, and both implement
+//! [`salsa_sketches::estimator::FrequencyEstimator`] (with its supertrait
+//! [`salsa_sketches::summary::FrequencyQueries`]) so the experiment harness
+//! can drive them interchangeably with CMS/SALSA.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,6 +22,7 @@
 use salsa_core::storage::{unsigned_capacity, BitStorage};
 use salsa_hash::RowHashers;
 use salsa_sketches::estimator::FrequencyEstimator;
+use salsa_sketches::summary::FrequencyQueries;
 
 /// Number of layers sufficient for any practical stream: with 8-bit layer-1
 /// counters and 6-bit carry fields, four carry layers already count beyond
@@ -203,16 +204,14 @@ impl FrequencyEstimator for PyramidSketch {
         PyramidSketch::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        PyramidSketch::estimate(self, item).min(i64::MAX as u64) as i64
-    }
-
     fn size_bytes(&self) -> usize {
         PyramidSketch::size_bytes(self)
     }
+}
 
-    fn name(&self) -> String {
-        "Pyramid".to_string()
+impl FrequencyQueries for PyramidSketch {
+    fn estimate(&self, item: u64) -> i64 {
+        PyramidSketch::estimate(self, item).min(i64::MAX as u64) as i64
     }
 }
 

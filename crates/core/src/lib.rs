@@ -43,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod bitmap;
 pub mod compact;
 pub mod encoding;

@@ -1,15 +1,11 @@
-//! Bit-packed counter storage: the owning backend.
+//! Bit-packed counter storage.
 //!
-//! [`BitStorage`] owns a contiguous `Vec<u64>` slab; all bit-field *logic*
-//! lives in [`crate::backend`] as free functions over word slices, so the
-//! same logic runs against owned storage here or any borrowed slab slice.
-//! This file is the thin owning wrapper of the logic/backend split.
-
-use crate::backend;
-
-// The free functions moved to `backend`; re-export them here so existing
-// `storage::{field_mask, ...}` imports keep working unchanged.
-pub use crate::backend::{field_mask, signed_magnitude_capacity, unsigned_capacity};
+//! SALSA counters are bit fields inside flat `u64` words.  Counters of width
+//! `s·2^ℓ` bits are always aligned to their own size (SALSA merges respect
+//! power-of-two alignment), so for widths up to 64 bits an aligned field never
+//! crosses a word boundary.  Tango counters, in contrast, may span an
+//! arbitrary number of base slots, so the unaligned accessors of
+//! [`BitStorage`] also support fields that straddle two words.
 
 /// A flat bit-addressable array of `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,7 +18,7 @@ impl BitStorage {
     /// Creates zeroed storage holding `bits` bits.
     pub fn new(bits: usize) -> Self {
         Self {
-            words: vec![0u64; backend::words_for_bits(bits)],
+            words: vec![0u64; bits.div_ceil(64)],
             bits,
         }
     }
@@ -39,7 +35,7 @@ impl BitStorage {
         self.words.len() * 8
     }
 
-    /// The backing word slice (the contiguous backend).
+    /// The backing word slice.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -71,38 +67,120 @@ impl BitStorage {
     /// by SALSA rows.
     #[inline(always)]
     pub fn read_aligned(&self, offset: usize, width: u32) -> u64 {
-        backend::read_aligned(&self.words, offset, width)
+        debug_assert!(width == 64 || 64 % width == 0);
+        debug_assert_eq!(offset % width as usize, 0);
+        let word = self.words[offset / 64];
+        if width == 64 {
+            word
+        } else {
+            let shift = (offset % 64) as u32;
+            (word >> shift) & field_mask(width)
+        }
     }
 
     /// Writes an **aligned** field (see [`Self::read_aligned`]).
     #[inline(always)]
     pub fn write_aligned(&mut self, offset: usize, width: u32, value: u64) {
-        backend::write_aligned(&mut self.words, offset, width, value);
+        debug_assert!(width == 64 || 64 % width == 0);
+        debug_assert_eq!(offset % width as usize, 0);
+        debug_assert!(width == 64 || value <= field_mask(width));
+        let word = &mut self.words[offset / 64];
+        if width == 64 {
+            *word = value;
+        } else {
+            let shift = (offset % 64) as u32;
+            let mask = field_mask(width) << shift;
+            *word = (*word & !mask) | (value << shift);
+        }
     }
 
     /// Reads an arbitrary field of up to 64 bits that may straddle a word
     /// boundary (used by Tango).
     #[inline]
     pub fn read_unaligned(&self, offset: usize, width: u32) -> u64 {
-        backend::read_unaligned(&self.words, offset, width)
+        debug_assert!((1..=64).contains(&width));
+        let word_idx = offset / 64;
+        let shift = (offset % 64) as u32;
+        let lo = self.words[word_idx] >> shift;
+        let in_first = 64 - shift;
+        let value = if width <= in_first {
+            lo
+        } else {
+            lo | (self.words[word_idx + 1] << in_first)
+        };
+        if width == 64 {
+            value
+        } else {
+            value & field_mask(width)
+        }
     }
 
     /// Writes an arbitrary field of up to 64 bits that may straddle a word
     /// boundary (used by Tango).
     #[inline]
     pub fn write_unaligned(&mut self, offset: usize, width: u32, value: u64) {
-        backend::write_unaligned(&mut self.words, offset, width, value);
+        debug_assert!((1..=64).contains(&width));
+        debug_assert!(width == 64 || value <= field_mask(width));
+        let word_idx = offset / 64;
+        let shift = (offset % 64) as u32;
+        let in_first = (64 - shift).min(width);
+        // First word.
+        let mask_lo = if in_first == 64 {
+            u64::MAX
+        } else {
+            field_mask(in_first) << shift
+        };
+        let words = &mut self.words;
+        words[word_idx] = (words[word_idx] & !mask_lo) | ((value << shift) & mask_lo);
+        // Second word, if the field straddles.
+        if width > in_first {
+            let rem = width - in_first;
+            let mask_hi = field_mask(rem);
+            words[word_idx + 1] =
+                (words[word_idx + 1] & !mask_hi) | ((value >> in_first) & mask_hi);
+        }
     }
 
     /// Zeroes every bit in `[offset, offset + width)`.
     pub fn clear_range(&mut self, offset: usize, width: usize) {
-        backend::clear_range(&mut self.words, offset, width);
+        let mut pos = offset;
+        let end = offset + width;
+        while pos < end {
+            let chunk = (end - pos).min(64 - pos % 64).min(64);
+            self.write_unaligned(pos, chunk as u32, 0);
+            pos += chunk;
+        }
     }
 
     /// Zeroes all storage.
     pub fn clear(&mut self) {
         self.words.iter_mut().for_each(|w| *w = 0);
     }
+}
+
+/// Mask with the low `width` bits set (`width` in `1..=64`).
+#[inline(always)]
+pub fn field_mask(width: u32) -> u64 {
+    debug_assert!((1..=64).contains(&width));
+    if width == 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// Maximum value representable by an unsigned counter of `width` bits.
+#[inline(always)]
+pub fn unsigned_capacity(width: u32) -> u64 {
+    field_mask(width)
+}
+
+/// Maximum magnitude representable by a sign-magnitude counter of `width`
+/// bits (one bit is the sign).
+#[inline(always)]
+pub fn signed_magnitude_capacity(width: u32) -> u64 {
+    debug_assert!(width >= 2);
+    field_mask(width - 1)
 }
 
 #[cfg(test)]
@@ -189,6 +267,14 @@ mod tests {
     fn copy_from_rejects_mismatched_capacity() {
         let mut dst = BitStorage::new(128);
         dst.copy_from(&BitStorage::new(256));
+    }
+
+    #[test]
+    fn backing_bytes_round_up_to_whole_words() {
+        assert_eq!(BitStorage::new(0).backing_bytes(), 0);
+        assert_eq!(BitStorage::new(1).backing_bytes(), 8);
+        assert_eq!(BitStorage::new(64).backing_bytes(), 8);
+        assert_eq!(BitStorage::new(65).backing_bytes(), 16);
     }
 
     #[test]

@@ -16,15 +16,22 @@
 //! variant SALSA-AEE`d` unconditionally downsamples on the first `d`
 //! overflows to reach a sampling rate of `2^{-d}` quickly, and counters can
 //! optionally be *split* back after downsampling (Fig. 17).
+//!
+//! Both sketches are Count-Min sketches with a sampling update rule: each
+//! wraps a [`CountMin`], whose counter array, hashing and
+//! minimum-over-rows estimate they use as is (scaled by `1/p`), and whose
+//! bucket scratch holds the current item's per-row buckets.
 
 use salsa_core::bitmap::MergeBitmap;
 use salsa_core::fixed::FixedRow;
 use salsa_core::row::SalsaRow;
 use salsa_core::storage::unsigned_capacity;
 use salsa_core::traits::{MergeOp, Row};
-use salsa_hash::{RowHashers, SeedSequence};
+use salsa_hash::SeedSequence;
 
+use crate::cms::CountMin;
 use crate::estimator::FrequencyEstimator;
+use crate::summary::FrequencyQueries;
 
 /// How counters are halved when downsampling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -78,10 +85,7 @@ fn halve(value: u64, rule: Downsampling, rng: &mut SeedSequence) -> u64 {
 /// sampling.
 #[derive(Debug, Clone)]
 pub struct AeeCountMin {
-    rows: Vec<FixedRow>,
-    hashers: RowHashers,
-    buckets: Vec<usize>,
-    bits: u32,
+    cms: CountMin<FixedRow>,
     /// `p = 2^{-log_inv_p}`.
     log_inv_p: u32,
     rng: SeedSequence,
@@ -101,12 +105,10 @@ impl AeeCountMin {
         downsampling: Downsampling,
         seed: u64,
     ) -> Self {
-        let rows = (0..depth).map(|_| FixedRow::new(width, bits)).collect();
+        let mut cms = CountMin::baseline(depth, width, bits, seed);
+        cms.scratch.resize(depth, 0);
         Self {
-            rows,
-            hashers: RowHashers::new(depth, width, seed),
-            buckets: vec![0; depth],
-            bits,
+            cms,
             log_inv_p: 0,
             rng: SeedSequence::new(seed ^ 0xAEE0_AEE0_AEE0_AEE0),
             mode,
@@ -169,7 +171,7 @@ impl AeeCountMin {
         self.log_inv_p += 1;
         self.sampled_since_downsample = 0;
         let rule = self.downsampling;
-        for row in &mut self.rows {
+        for row in &mut self.cms.rows {
             for idx in 0..row.width() {
                 let value = row.read(idx);
                 if value > 0 {
@@ -195,17 +197,16 @@ impl AeeCountMin {
         }
         // Hash once per row only when at least one unit survived sampling —
         // this is where AEE gains its speed.
-        for row_idx in 0..self.rows.len() {
-            self.buckets[row_idx] = self.hashers.bucket(row_idx, item);
-        }
+        self.cms.hash_into_scratch(item);
+        let cap = self.cms.rows[0].capacity();
         for _ in 0..increments {
             self.sampled_since_downsample += 1;
             // Overflow / periodic downsampling checks.
-            let cap = unsigned_capacity(self.bits);
             let would_overflow = self
+                .cms
                 .rows
                 .iter()
-                .zip(self.buckets.iter())
+                .zip(self.cms.scratch.iter())
                 .any(|(row, &b)| row.read(b) >= cap);
             let periodic = matches!(self.mode, AeeMode::MaxSpeed { downsample_every }
                 if self.sampled_since_downsample >= downsample_every);
@@ -216,7 +217,7 @@ impl AeeCountMin {
                     continue;
                 }
             }
-            for (row, &b) in self.rows.iter_mut().zip(self.buckets.iter()) {
+            for (row, &b) in self.cms.rows.iter_mut().zip(self.cms.scratch.iter()) {
                 row.add(b, 1);
             }
         }
@@ -224,16 +225,12 @@ impl AeeCountMin {
 
     /// Estimates the frequency of `item` (minimum counter scaled by `1/p`).
     pub fn estimate(&self, item: u64) -> u64 {
-        let mut est = u64::MAX;
-        for (row_idx, row) in self.rows.iter().enumerate() {
-            est = est.min(row.read(self.hashers.bucket(row_idx, item)));
-        }
-        est << self.log_inv_p
+        self.cms.estimate(item) << self.log_inv_p
     }
 
     /// Total memory used, in bytes.
     pub fn size_bytes(&self) -> usize {
-        self.rows.iter().map(Row::size_bytes).sum()
+        self.cms.size_bytes()
     }
 }
 
@@ -243,41 +240,41 @@ impl FrequencyEstimator for AeeCountMin {
         AeeCountMin::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        AeeCountMin::estimate(self, item).min(i64::MAX as u64) as i64
-    }
-
     fn size_bytes(&self) -> usize {
         AeeCountMin::size_bytes(self)
     }
+}
 
-    fn name(&self) -> String {
-        match self.mode {
-            AeeMode::MaxAccuracy => "AEE-MaxAccuracy".to_string(),
-            AeeMode::MaxSpeed { .. } => "AEE-MaxSpeed".to_string(),
-        }
+impl FrequencyQueries for AeeCountMin {
+    fn estimate(&self, item: u64) -> i64 {
+        AeeCountMin::estimate(self, item).min(i64::MAX as u64) as i64
     }
 }
 
+/// SALSA-AEE's base counter size in bits (`s`).
+const BASE_BITS: u32 = 8;
+
+/// SALSA-AEE's overall failure probability `δ`; the paper uses
+/// `δ = 4·δ_est = 0.001`.
+const DELTA: f64 = 0.001;
+
 /// Configuration for the SALSA-AEE hybrid.
+///
+/// The base counter size (8 bits), the failure probability `δ` (0.001)
+/// and the halving rule ([`Downsampling::Probabilistic`]) are the paper's
+/// and fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct SalsaAeeConfig {
     /// Number of rows (`d`).
     pub depth: usize,
     /// Base counters per row (`w`).
     pub width: usize,
-    /// Base counter size in bits (`s`, 8 by default).
-    pub base_bits: u32,
-    /// Overall failure probability `δ`; the paper uses `δ = 4·δ_est = 0.001`.
-    pub delta: f64,
     /// Downsample unconditionally on the first `d` largest-counter overflows
     /// (the SALSA-AEE`d` speed variant; 0 recovers plain SALSA-AEE).
     pub force_downsample_first: u32,
     /// Split merged counters whose value fits in half the bits after
     /// downsampling (Fig. 17).
     pub split_after_downsample: bool,
-    /// How counters are halved.
-    pub downsampling: Downsampling,
 }
 
 impl SalsaAeeConfig {
@@ -286,11 +283,8 @@ impl SalsaAeeConfig {
         Self {
             depth,
             width,
-            base_bits: 8,
-            delta: 0.001,
             force_downsample_first: 0,
             split_after_downsample: false,
-            downsampling: Downsampling::Probabilistic,
         }
     }
 }
@@ -299,10 +293,9 @@ impl SalsaAeeConfig {
 /// per overflow whichever increases the error bound less.
 #[derive(Debug, Clone)]
 pub struct SalsaAee {
-    rows: Vec<SalsaRow<MergeBitmap>>,
-    hashers: RowHashers,
-    buckets: Vec<usize>,
-    config: SalsaAeeConfig,
+    cms: CountMin<SalsaRow<MergeBitmap>>,
+    force_downsample_first: u32,
+    split_after_downsample: bool,
     log_inv_p: u32,
     rng: SeedSequence,
     processed: u64,
@@ -313,14 +306,12 @@ pub struct SalsaAee {
 impl SalsaAee {
     /// Creates a SALSA-AEE sketch.
     pub fn new(config: SalsaAeeConfig, seed: u64) -> Self {
-        let rows: Vec<_> = (0..config.depth)
-            .map(|_| SalsaRow::<MergeBitmap>::new(config.width, config.base_bits, MergeOp::Max))
-            .collect();
+        let mut cms = CountMin::salsa(config.depth, config.width, BASE_BITS, MergeOp::Max, seed);
+        cms.scratch.resize(config.depth, 0);
         Self {
-            hashers: RowHashers::new(config.depth, config.width, seed),
-            buckets: vec![0; config.depth],
-            rows,
-            config,
+            cms,
+            force_downsample_first: config.force_downsample_first,
+            split_after_downsample: config.split_after_downsample,
             log_inv_p: 0,
             rng: SeedSequence::new(seed ^ 0x5A15_AAEE_5A15_AAEE),
             processed: 0,
@@ -366,7 +357,7 @@ impl SalsaAee {
         if self.processed == 0 {
             return f64::INFINITY;
         }
-        let delta_est = self.config.delta / 4.0;
+        let delta_est = DELTA / 4.0;
         let inv_p = 2f64.powi(self.log_inv_p as i32);
         let eps_est = (2.0 * inv_p * (2.0 / delta_est).ln()).sqrt() / self.processed as f64;
         std::f64::consts::SQRT_2 * eps_est
@@ -375,27 +366,23 @@ impl SalsaAee {
     /// The merge error increase: `Δ_CMS = δ^{-1/d}·2^ℓ/w` where `s·2^ℓ` is
     /// the current largest counter size.
     fn delta_cms(&self) -> f64 {
-        let d = self.config.depth as f64;
-        self.config.delta.powf(-1.0 / d) * 2f64.powi(self.max_level_seen as i32)
-            / self.config.width as f64
+        let d = self.cms.depth() as f64;
+        DELTA.powf(-1.0 / d) * 2f64.powi(self.max_level_seen as i32) / self.cms.width() as f64
     }
 
     fn downsample(&mut self) {
         self.log_inv_p += 1;
         self.downsample_events += 1;
-        let rule = self.config.downsampling;
-        let split = self.config.split_after_downsample;
         // Halve every counter; splitting can only shrink levels.
-        let mut rng = self.rng.clone();
-        for row in &mut self.rows {
-            row.map_counters(|v| halve(v, rule, &mut rng));
-            if split {
+        for row in &mut self.cms.rows {
+            row.map_counters(|v| binomial_half(v, &mut self.rng));
+            if self.split_after_downsample {
                 row.split_all();
             }
         }
-        self.rng = rng;
         // Re-derive the largest level (splitting may have lowered it).
         self.max_level_seen = self
+            .cms
             .rows
             .iter()
             .map(|r| r.current_max_level())
@@ -415,20 +402,18 @@ impl SalsaAee {
         if increments == 0 {
             return;
         }
-        for row_idx in 0..self.rows.len() {
-            self.buckets[row_idx] = self.hashers.bucket(row_idx, item);
-        }
+        self.cms.hash_into_scratch(item);
         for _ in 0..increments {
             // Would this update overflow one of the *largest* counters?
-            let absolute_max = self.rows[0].max_level();
-            let largest_overflow = self.rows.iter().zip(self.buckets.iter()).any(|(row, &b)| {
+            let rows = &self.cms.rows;
+            let absolute_max = rows[0].max_level();
+            let largest_overflow = rows.iter().zip(self.cms.scratch.iter()).any(|(row, &b)| {
                 let level = row.level_of(b);
-                level >= self.max_level_seen
-                    && row.read(b) >= unsigned_capacity(self.config.base_bits << level)
+                level >= self.max_level_seen && row.read(b) >= unsigned_capacity(BASE_BITS << level)
             });
             if largest_overflow {
                 let must_downsample = self.max_level_seen >= absolute_max;
-                let forced = self.downsample_events < self.config.force_downsample_first;
+                let forced = self.downsample_events < self.force_downsample_first;
                 let prefer_downsample = self.delta_cms() > self.delta_est();
                 if must_downsample || forced || prefer_downsample {
                     self.downsample();
@@ -438,7 +423,7 @@ impl SalsaAee {
                     }
                 }
             }
-            for (row, &b) in self.rows.iter_mut().zip(self.buckets.iter()) {
+            for (row, &b) in self.cms.rows.iter_mut().zip(self.cms.scratch.iter()) {
                 row.add(b, 1);
                 self.max_level_seen = self.max_level_seen.max(row.level_of(b));
             }
@@ -447,16 +432,12 @@ impl SalsaAee {
 
     /// Estimates the frequency of `item` (minimum counter scaled by `1/p`).
     pub fn estimate(&self, item: u64) -> u64 {
-        let mut est = u64::MAX;
-        for (row_idx, row) in self.rows.iter().enumerate() {
-            est = est.min(row.read(self.hashers.bucket(row_idx, item)));
-        }
-        est << self.log_inv_p
+        self.cms.estimate(item) << self.log_inv_p
     }
 
     /// Total memory used, in bytes (including merge-bit overhead).
     pub fn size_bytes(&self) -> usize {
-        self.rows.iter().map(Row::size_bytes).sum()
+        self.cms.size_bytes()
     }
 }
 
@@ -466,20 +447,14 @@ impl FrequencyEstimator for SalsaAee {
         SalsaAee::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        SalsaAee::estimate(self, item).min(i64::MAX as u64) as i64
-    }
-
     fn size_bytes(&self) -> usize {
         SalsaAee::size_bytes(self)
     }
+}
 
-    fn name(&self) -> String {
-        if self.config.force_downsample_first > 0 {
-            format!("SALSA-AEE{}", self.config.force_downsample_first)
-        } else {
-            "SALSA-AEE".to_string()
-        }
+impl FrequencyQueries for SalsaAee {
+    fn estimate(&self, item: u64) -> i64 {
+        SalsaAee::estimate(self, item).min(i64::MAX as u64) as i64
     }
 }
 
@@ -621,12 +596,14 @@ mod tests {
         // Splitting can only shrink counters, so the largest counter level of
         // the split variant never exceeds the non-split one.
         let split_max = split
+            .cms
             .rows
             .iter()
             .map(|r| r.current_max_level())
             .max()
             .unwrap();
         let nosplit_max = nosplit
+            .cms
             .rows
             .iter()
             .map(|r| r.current_max_level())
@@ -640,13 +617,5 @@ mod tests {
         let heavy_est_split = split.estimate(1);
         let heavy_est_nosplit = nosplit.estimate(1);
         assert!(heavy_est_split > 0 && heavy_est_nosplit > 0);
-    }
-
-    #[test]
-    fn estimator_trait_names() {
-        let aee = AeeCountMin::max_accuracy(2, 64, 8, 1);
-        assert_eq!(FrequencyEstimator::name(&aee), "AEE-MaxAccuracy");
-        let hybrid = SalsaAee::speed_variant(2, 64, 10, 1);
-        assert_eq!(FrequencyEstimator::name(&hybrid), "SALSA-AEE10");
     }
 }

@@ -24,14 +24,23 @@ use crate::estimator::FrequencyEstimator;
 use crate::summary::{DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary};
 
 /// A Count-Min Sketch over an arbitrary row type.
+///
+/// The sketches that differ from CMS only in their update rule
+/// ([`ConservativeUpdate`](crate::cus::ConservativeUpdate),
+/// [`AeeCountMin`](crate::aee::AeeCountMin),
+/// [`SalsaAee`](crate::aee::SalsaAee)) wrap a `CountMin` and update its
+/// fields directly; its estimate, shape checks, merge, copy and size serve
+/// them as they are.
 #[derive(Debug, Clone)]
 pub struct CountMin<R: Row> {
-    rows: Vec<R>,
-    hashers: RowHashers,
+    pub(crate) rows: Vec<R>,
+    pub(crate) hashers: RowHashers,
     seed: u64,
-    /// Scratch space for per-batch buckets, so the batched hot path does not
-    /// pay an allocation per batch (cf. the CUS per-update scratch).
-    scratch: Vec<usize>,
+    /// Scratch space for bucket indices: one per batch item in
+    /// [`CountMin::update_batch`], so the batched hot path does not pay an
+    /// allocation per batch, and one per row in the wrapping sketches'
+    /// per-item updates.
+    pub(crate) scratch: Vec<usize>,
 }
 
 impl<R: Row> CountMin<R> {
@@ -78,11 +87,6 @@ impl<R: Row> CountMin<R> {
         &self.rows
     }
 
-    /// Mutable access to the rows (used by estimator integrations).
-    pub fn rows_mut(&mut self) -> &mut [R] {
-        &mut self.rows
-    }
-
     /// The hash family shared by this sketch.
     pub fn hashers(&self) -> &RowHashers {
         &self.hashers
@@ -113,6 +117,14 @@ impl<R: Row> CountMin<R> {
         for (row_idx, row) in self.rows.iter_mut().enumerate() {
             self.hashers.buckets_into(row_idx, items, buckets);
             row.add_unit_batch(buckets);
+        }
+    }
+
+    /// Writes `item`'s bucket in each row to the scratch buffer, which the
+    /// wrapping sketches size to the depth for their per-item updates.
+    pub(crate) fn hash_into_scratch(&mut self, item: u64) {
+        for (row_idx, bucket) in self.scratch.iter_mut().enumerate() {
+            *bucket = self.hashers.bucket(row_idx, item);
         }
     }
 
@@ -232,16 +244,8 @@ impl<R: Row> FrequencyEstimator for CountMin<R> {
         CountMin::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        FrequencyQueries::estimate(self, item)
-    }
-
     fn size_bytes(&self) -> usize {
         CountMin::size_bytes(self)
-    }
-
-    fn name(&self) -> String {
-        "CountMin".to_string()
     }
 }
 
@@ -554,7 +558,6 @@ mod tests {
             Box::new(CountMin::salsa(4, 256, 8, MergeOp::Max, 2));
         sketch.update(9, 3);
         assert!(sketch.estimate(9) >= 3);
-        assert_eq!(sketch.name(), "CountMin");
     }
 
     #[test]

@@ -18,10 +18,14 @@ use salsa_core::traits::Row;
 
 use crate::cus::ConservativeUpdate;
 use crate::estimator::FrequencyEstimator;
+use crate::summary::FrequencyQueries;
 
-/// Default stage-1 counter width (bits) used by the Cold Filter paper.
+/// Stage-1 counter width (bits) used by the Cold Filter paper.
 pub const STAGE1_BITS: u32 = 4;
-/// Default stage-1 threshold: the capacity of a 4-bit counter.
+/// The stage-1 threshold: the capacity of a [`STAGE1_BITS`]-bit counter.
+/// It is a constant, not a setting: stage-1 counters saturate at that
+/// capacity, so an item would never reach a larger threshold and never be
+/// promoted to stage 2.
 pub const STAGE1_THRESHOLD: u64 = 15;
 
 /// The two-stage Cold Filter, generic over the stage-2 row type.
@@ -29,7 +33,6 @@ pub const STAGE1_THRESHOLD: u64 = 15;
 pub struct ColdFilter<R: Row> {
     stage1: ConservativeUpdate<FixedRow>,
     stage2: ConservativeUpdate<R>,
-    threshold: u64,
 }
 
 impl<R: Row> ColdFilter<R> {
@@ -38,11 +41,9 @@ impl<R: Row> ColdFilter<R> {
     pub fn with_stage2(
         stage1_depth: usize,
         stage1_width: usize,
-        threshold: u64,
         seed: u64,
         stage2: ConservativeUpdate<R>,
     ) -> Self {
-        assert!(threshold >= 1);
         Self {
             stage1: ConservativeUpdate::baseline(
                 stage1_depth,
@@ -51,25 +52,18 @@ impl<R: Row> ColdFilter<R> {
                 seed ^ 0xC01D,
             ),
             stage2,
-            threshold,
         }
-    }
-
-    /// The stage-1 threshold.
-    #[inline]
-    pub fn threshold(&self) -> u64 {
-        self.threshold
     }
 
     /// Processes the update `⟨item, value⟩` (Cash Register model).
     pub fn update(&mut self, item: u64, value: u64) {
         let est1 = self.stage1.estimate(item);
-        if est1 >= self.threshold {
+        if est1 >= STAGE1_THRESHOLD {
             // Item is already hot: everything goes to stage 2.
             self.stage2.update(item, value);
             return;
         }
-        let room = self.threshold - est1;
+        let room = STAGE1_THRESHOLD - est1;
         if value <= room {
             self.stage1.update(item, value);
         } else {
@@ -81,10 +75,10 @@ impl<R: Row> ColdFilter<R> {
     /// Estimates the frequency of `item`.
     pub fn estimate(&self, item: u64) -> u64 {
         let est1 = self.stage1.estimate(item);
-        if est1 < self.threshold {
+        if est1 < STAGE1_THRESHOLD {
             est1
         } else {
-            self.threshold + self.stage2.estimate(item)
+            STAGE1_THRESHOLD + self.stage2.estimate(item)
         }
     }
 
@@ -111,7 +105,7 @@ impl ColdFilter<FixedRow> {
         seed: u64,
     ) -> Self {
         let stage2 = ConservativeUpdate::baseline(stage2_depth, stage2_width, stage2_bits, seed);
-        Self::with_stage2(stage1_depth, stage1_width, STAGE1_THRESHOLD, seed, stage2)
+        Self::with_stage2(stage1_depth, stage1_width, seed, stage2)
     }
 }
 
@@ -127,7 +121,7 @@ impl ColdFilter<SalsaRow<MergeBitmap>> {
         seed: u64,
     ) -> Self {
         let stage2 = ConservativeUpdate::salsa(stage2_depth, stage2_width, base_bits, seed);
-        Self::with_stage2(stage1_depth, stage1_width, STAGE1_THRESHOLD, seed, stage2)
+        Self::with_stage2(stage1_depth, stage1_width, seed, stage2)
     }
 }
 
@@ -140,16 +134,14 @@ impl<R: Row> FrequencyEstimator for ColdFilter<R> {
         ColdFilter::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        ColdFilter::estimate(self, item).min(i64::MAX as u64) as i64
-    }
-
     fn size_bytes(&self) -> usize {
         ColdFilter::size_bytes(self)
     }
+}
 
-    fn name(&self) -> String {
-        "ColdFilter".to_string()
+impl<R: Row> FrequencyQueries for ColdFilter<R> {
+    fn estimate(&self, item: u64) -> i64 {
+        ColdFilter::estimate(self, item).min(i64::MAX as u64) as i64
     }
 }
 

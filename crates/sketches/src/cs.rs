@@ -224,16 +224,8 @@ impl<S: SignedRow> FrequencyEstimator for CountSketch<S> {
         CountSketch::update(self, item, value);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        CountSketch::estimate(self, item)
-    }
-
     fn size_bytes(&self) -> usize {
         CountSketch::size_bytes(self)
-    }
-
-    fn name(&self) -> String {
-        "CountSketch".to_string()
     }
 }
 

@@ -4,6 +4,11 @@
 //! on an update `⟨x, v⟩` it only raises each of `x`'s counters to
 //! `max{current, v + f̂_x}`, where `f̂_x` is the estimate *before* the update.
 //! SALSA CUS must use max-merging (Theorem V.3).
+//!
+//! Only the update rule is CUS's own.  The counter array, its hashing, the
+//! minimum-over-rows estimate, the shape checks, merge, copy and size are
+//! [`CountMin`]'s: a `ConservativeUpdate` wraps one and uses its bucket
+//! scratch for the item's per-row buckets.
 
 use salsa_core::compact::LayoutCodes;
 use salsa_core::encoding::MergeEncoding;
@@ -12,75 +17,40 @@ use salsa_core::merge::RowMerge;
 use salsa_core::row::SalsaRow;
 use salsa_core::tango::TangoRow;
 use salsa_core::traits::{MergeOp, Row};
-use salsa_hash::RowHashers;
 
-use crate::distinct::distinct_from_rows;
+use crate::cms::CountMin;
 use crate::estimator::FrequencyEstimator;
 use crate::summary::{DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary};
 
 /// A Conservative Update Sketch over an arbitrary row type.
 #[derive(Debug, Clone)]
 pub struct ConservativeUpdate<R: Row> {
-    rows: Vec<R>,
-    hashers: RowHashers,
-    /// Scratch space for per-row buckets, avoiding re-hashing during the
-    /// read-then-raise update.
-    buckets: Vec<usize>,
-    seed: u64,
+    cms: CountMin<R>,
 }
 
 impl<R: Row> ConservativeUpdate<R> {
-    /// Builds a sketch from pre-constructed rows and a hash seed.
-    pub fn from_rows(rows: Vec<R>, seed: u64) -> Self {
-        assert!(!rows.is_empty(), "a sketch needs at least one row");
-        let width = rows[0].width();
-        assert!(
-            rows.iter().all(|r| r.width() == width),
-            "all rows must have the same width"
-        );
-        let depth = rows.len();
-        let hashers = RowHashers::new(depth, width, seed);
-        Self {
-            rows,
-            hashers,
-            buckets: vec![0; depth],
-            seed,
-        }
-    }
-
-    /// The hash seed the sketch was built with.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Number of rows (`d`).
-    #[inline]
-    pub fn depth(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Counters per row (`w`).
-    #[inline]
-    pub fn width(&self) -> usize {
-        self.hashers.width()
-    }
-
-    /// Immutable access to the rows.
-    pub fn rows(&self) -> &[R] {
-        &self.rows
+    /// Wraps `cms`'s counter array, sizing its scratch to one bucket per
+    /// row for the read-then-raise update.
+    fn from_cms(mut cms: CountMin<R>) -> Self {
+        cms.scratch.resize(cms.depth(), 0);
+        Self { cms }
     }
 
     /// Processes the update `⟨item, value⟩` (Cash Register: `value > 0`).
     pub fn update(&mut self, item: u64, value: u64) {
+        let CountMin {
+            rows,
+            hashers,
+            scratch: buckets,
+            ..
+        } = &mut self.cms;
         let mut estimate = u64::MAX;
-        for row_idx in 0..self.rows.len() {
-            let bucket = self.hashers.bucket(row_idx, item);
-            self.buckets[row_idx] = bucket;
-            estimate = estimate.min(self.rows[row_idx].read(bucket));
+        for (row_idx, (row, bucket)) in rows.iter().zip(buckets.iter_mut()).enumerate() {
+            *bucket = hashers.bucket(row_idx, item);
+            estimate = estimate.min(row.read(*bucket));
         }
         let target = estimate.saturating_add(value);
-        for (row, &bucket) in self.rows.iter_mut().zip(self.buckets.iter()) {
+        for (row, &bucket) in rows.iter_mut().zip(buckets.iter()) {
             row.raise_to(bucket, target);
         }
     }
@@ -97,42 +67,27 @@ impl<R: Row> ConservativeUpdate<R> {
         }
     }
 
-    /// Estimates the frequency of `item`.
+    /// Estimates the frequency of `item` (minimum over the item's counters).
     #[inline]
     pub fn estimate(&self, item: u64) -> u64 {
-        let mut est = u64::MAX;
-        for (row_idx, row) in self.rows.iter().enumerate() {
-            est = est.min(row.read(self.hashers.bucket(row_idx, item)));
-        }
-        est
+        self.cms.estimate(item)
     }
 
     /// Total memory used by the sketch, including encoding overhead.
     pub fn size_bytes(&self) -> usize {
-        self.rows.iter().map(Row::size_bytes).sum()
+        self.cms.size_bytes()
     }
 
     /// Resets all counters to zero.
     pub fn reset(&mut self) {
-        self.rows.iter_mut().for_each(Row::reset);
-    }
-
-    /// Panics unless `other` was built with the same seed and shape (see
-    /// `CountMin`'s counterpart).
-    fn assert_compatible(&self, other: &Self) {
-        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
+        self.cms.reset();
     }
 }
 
 impl ConservativeUpdate<FixedRow> {
     /// The paper's *Baseline* CUS with fixed-width counters.
     pub fn baseline(depth: usize, width: usize, bits: u32, seed: u64) -> Self {
-        Self::from_rows(
-            (0..depth).map(|_| FixedRow::new(width, bits)).collect(),
-            seed,
-        )
+        Self::from_cms(CountMin::baseline(depth, width, bits, seed))
     }
 }
 
@@ -140,12 +95,13 @@ impl<E: MergeEncoding> ConservativeUpdate<SalsaRow<E>> {
     /// A SALSA CUS with an explicit merge encoding.  Max-merge is enforced
     /// (Theorem V.3 requires it).
     pub fn salsa_with_encoding(depth: usize, width: usize, base_bits: u32, seed: u64) -> Self {
-        Self::from_rows(
-            (0..depth)
-                .map(|_| SalsaRow::<E>::new(width, base_bits, MergeOp::Max))
-                .collect(),
+        Self::from_cms(CountMin::salsa_with_encoding(
+            depth,
+            width,
+            base_bits,
+            MergeOp::Max,
             seed,
-        )
+        ))
     }
 }
 
@@ -166,12 +122,7 @@ impl ConservativeUpdate<SalsaRow<LayoutCodes>> {
 impl ConservativeUpdate<TangoRow> {
     /// A Tango CUS (fine-grained merging, max-merge).
     pub fn tango(depth: usize, width: usize, base_bits: u32, seed: u64) -> Self {
-        Self::from_rows(
-            (0..depth)
-                .map(|_| TangoRow::new(width, base_bits, MergeOp::Max))
-                .collect(),
-            seed,
-        )
+        Self::from_cms(CountMin::tango(depth, width, base_bits, MergeOp::Max, seed))
     }
 }
 
@@ -181,16 +132,8 @@ impl<R: Row> FrequencyEstimator for ConservativeUpdate<R> {
         ConservativeUpdate::update(self, item, value as u64);
     }
 
-    fn estimate(&self, item: u64) -> i64 {
-        FrequencyQueries::estimate(self, item)
-    }
-
     fn size_bytes(&self) -> usize {
         ConservativeUpdate::size_bytes(self)
-    }
-
-    fn name(&self) -> String {
-        "ConservativeUpdate".to_string()
     }
 }
 
@@ -212,10 +155,7 @@ impl<R: Row + RowMerge + Send + 'static> StreamSummary for ConservativeUpdate<R>
     /// than single-sketch CUS estimates, while staying upper-bounded by the
     /// merged CMS with the same configuration.
     fn merge_from(&mut self, other: &Self) {
-        self.assert_compatible(other);
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
+        self.cms.merge_from(&other.cms);
     }
 }
 
@@ -223,29 +163,25 @@ impl<R: Row + RowMerge + Clone + Send + 'static> SnapshotSummary for Conservativ
     /// The rows' counter storage + encoding plus the per-update bucket
     /// scratch.
     fn clone_cost_bytes(&self) -> usize {
-        self.rows.iter().map(Row::clone_cost_bytes).sum::<usize>()
-            + self.buckets.len() * std::mem::size_of::<usize>()
+        self.cms.clone_cost_bytes()
     }
 
     /// Refreshes a warm snapshot buffer in place, **without allocating**.
     fn copy_from(&mut self, src: &Self) {
-        self.assert_compatible(src);
-        for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
-            dst.copy_from(src_row);
-        }
+        self.cms.copy_from(&src.cms);
     }
 }
 
 impl<R: Row> FrequencyQueries for ConservativeUpdate<R> {
     fn estimate(&self, item: u64) -> i64 {
-        ConservativeUpdate::estimate(self, item).min(i64::MAX as u64) as i64
+        FrequencyQueries::estimate(&self.cms, item)
     }
 }
 
 impl<R: Row> DistinctQueries for ConservativeUpdate<R> {
     /// Linear Counting averaged over the rows.
     fn estimate_distinct(&self) -> Option<f64> {
-        distinct_from_rows(&self.rows)
+        self.cms.estimate_distinct()
     }
 }
 

@@ -57,6 +57,10 @@
 //! `crates/*/src` is scanned and the per-crate scopes above apply; with
 //! explicit file arguments every rule is applied to every named file,
 //! which is what the fixture self-tests use.
+//!
+//! `cargo run -p xtask -- loc` prints, as a markdown table, how many lines
+//! of each `crates/*/src` lie outside `#[cfg(test)]` items (blank and
+//! comment lines included), with the same test mask the lint uses.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -525,6 +529,53 @@ fn lint_files(paths: &[String]) -> Result<Vec<Finding>, String> {
     Ok(findings)
 }
 
+/// Lines of `source` outside `#[cfg(test)]` items (blank and comment lines
+/// included), as [`test_mask`] draws the boundary.
+fn non_test_lines(source: &str) -> usize {
+    let lines: Vec<&str> = source.lines().collect();
+    test_mask(&lines).iter().filter(|&&masked| !masked).count()
+}
+
+/// `(crate, files, non-test lines)` for every `crates/*/src`, sorted by
+/// crate name.
+fn loc_tree(workspace: &Path) -> Result<Vec<(String, usize, usize)>, String> {
+    let crates = workspace.join("crates");
+    let entries =
+        std::fs::read_dir(&crates).map_err(|e| format!("read_dir {}: {e}", crates.display()))?;
+    let mut table = Vec::new();
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("read_dir {}: {e}", crates.display()))?;
+        let src = entry.path().join("src");
+        if !src.is_dir() {
+            continue;
+        }
+        let mut files = Vec::new();
+        collect_tree_files(&src, &mut files)?;
+        let mut lines = 0;
+        for path in &files {
+            let source = std::fs::read_to_string(path)
+                .map_err(|e| format!("read {}: {e}", path.display()))?;
+            lines += non_test_lines(&source);
+        }
+        let name = entry.file_name().to_string_lossy().into_owned();
+        table.push((name, files.len(), lines));
+    }
+    table.sort();
+    Ok(table)
+}
+
+/// Prints [`loc_tree`] as a markdown table with a total row.
+fn print_loc(table: &[(String, usize, usize)]) {
+    println!("| crate | files | non-test lines |");
+    println!("|---|---:|---:|");
+    for (name, files, lines) in table {
+        println!("| {name} | {files} | {lines} |");
+    }
+    let files: usize = table.iter().map(|row| row.1).sum();
+    let lines: usize = table.iter().map(|row| row.2).sum();
+    println!("| total | {files} | {lines} |");
+}
+
 fn workspace_root() -> PathBuf {
     // xtask always lives at <workspace>/crates/xtask.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -537,11 +588,28 @@ fn workspace_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) != Some("lint") {
-        eprintln!("usage: cargo run -p xtask -- lint [files...]");
-        eprintln!("  no files: lint every library source under crates/");
-        eprintln!("  with files: apply every rule to each named file");
-        return ExitCode::from(2);
+    match args.first().map(String::as_str) {
+        Some("lint") => {}
+        Some("loc") => {
+            return match loc_tree(&workspace_root()) {
+                Ok(table) => {
+                    print_loc(&table);
+                    ExitCode::SUCCESS
+                }
+                Err(message) => {
+                    eprintln!("loc: {message}");
+                    ExitCode::from(2)
+                }
+            };
+        }
+        _ => {
+            eprintln!("usage: cargo run -p xtask -- lint [files...]");
+            eprintln!("  no files: lint every library source under crates/");
+            eprintln!("  with files: apply every rule to each named file");
+            eprintln!("       cargo run -p xtask -- loc");
+            eprintln!("  non-test lines of every crates/*/src, per crate");
+            return ExitCode::from(2);
+        }
     }
     let result = if args.len() > 1 {
         lint_files(&args[1..])
@@ -756,5 +824,15 @@ mod tests {
         let lines: Vec<&str> = source.lines().collect();
         let mask = test_mask(&lines);
         assert_eq!(mask, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn loc_counts_lines_outside_test_items() {
+        let source =
+            "//! Docs.\n\nfn a() {}\n#[cfg(test)]\nmod tests {\n  fn b() {}\n}\nfn c() {}\n";
+        assert_eq!(non_test_lines(source), 4);
+        let table = loc_tree(&workspace_root()).expect("crates/ must be readable");
+        let xtask = table.iter().find(|row| row.0 == "xtask");
+        assert!(xtask.is_some_and(|&(_, files, lines)| files == 1 && lines > 0));
     }
 }

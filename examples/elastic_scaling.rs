@@ -127,8 +127,8 @@ fn main() {
     }
     let diff = (0..universe as u64)
         .map(|item| {
-            FrequencyEstimator::estimate(&out.merged, item)
-                .abs_diff(FrequencyEstimator::estimate(&single, item))
+            FrequencyQueries::estimate(&out.merged, item)
+                .abs_diff(FrequencyQueries::estimate(&single, item))
         })
         .max()
         .unwrap_or(0);

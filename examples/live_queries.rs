@@ -79,7 +79,7 @@ fn main() {
         .iter()
         .map(|&item| {
             (final_view.estimate(item)
-                - salsa_sketches::estimator::FrequencyEstimator::estimate(&out.merged, item))
+                - salsa_sketches::summary::FrequencyQueries::estimate(&out.merged, item))
             .unsigned_abs()
         })
         .max()

@@ -66,7 +66,7 @@ fn rescaling_1_4_2_mid_stream_is_byte_identical_with_live_queries_throughout() {
     let handle = pipeline.live_handle();
     let full = unsharded(&items);
     let full_probe: Vec<i64> = (0..64u64)
-        .map(|item| FrequencyEstimator::estimate(&full, item))
+        .map(|item| FrequencyQueries::estimate(&full, item))
         .collect();
 
     // Query continuously across both rescales: epochs must never decrease,
