@@ -76,7 +76,6 @@ where
 
 fn main() {
     let args = Args::parse(2_000_000, 1);
-    let json_path = parse_json_path();
     let depth = 4;
     let width = if args.quick { 1 << 14 } else { 1 << 16 };
     let min_secs = if args.quick { 0.25 } else { 2.0 };
@@ -237,7 +236,7 @@ fn main() {
         ]);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"fig_elastic\",\n");
         json.push_str("  \"sketch\": \"salsa_cms_sum\",\n");
@@ -267,7 +266,7 @@ fn main() {
             ));
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("failed to write perf snapshot {path}: {e}"));
         eprintln!("wrote perf snapshot to {path}");
     }

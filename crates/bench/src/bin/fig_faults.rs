@@ -59,7 +59,6 @@ struct Point {
 fn main() {
     silence_worker_panics();
     let args = Args::parse(2_000_000, 1);
-    let json_path = parse_json_path();
     let depth = 4;
     let width = if args.quick { 1 << 14 } else { 1 << 16 };
     let min_secs = if args.quick { 0.25 } else { 2.0 };
@@ -206,7 +205,7 @@ fn main() {
         ]);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"fig_faults\",\n");
         json.push_str("  \"sketch\": \"salsa_cms_sum\",\n");
@@ -240,7 +239,7 @@ fn main() {
             ));
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("failed to write perf snapshot {path}: {e}"));
         eprintln!("wrote perf snapshot to {path}");
     }

@@ -34,8 +34,7 @@
 //! as `BENCH_live_query.json` by the `bench-smoke` CI job and diffed
 //! against `BENCH_baseline.json` by `compare_bench`).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -47,52 +46,8 @@ use salsa_serve::{CachePolicy, Coalescer};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
-/// Counts every heap allocation in the process so `allocs_per_query` can
-/// be measured rather than asserted.  The counter only bumps on paths
-/// that hand out (or may hand out) fresh memory; frees are irrelevant to
-/// the discipline being measured.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards verbatim to the system allocator; the
-// relaxed counter bump has no effect on allocation semantics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` allocation and
-        // are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations made by the process so far.
-fn heap_allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 /// One measured point of the figure.
 struct Point {
@@ -130,20 +85,19 @@ where
         let view = cached.view().expect("pipeline is still live");
         sink ^= view.estimate(item);
     }
-    let before = heap_allocations();
+    let before = counting_alloc::allocations();
     for i in 0..QUERIES {
         let item = candidates[i as usize % candidates.len()];
         let view = cached.view().expect("pipeline is still live");
         sink ^= view.estimate(item);
     }
-    let allocs = heap_allocations() - before;
+    let allocs = counting_alloc::allocations() - before;
     std::hint::black_box(sink);
     finite(allocs as f64 / QUERIES as f64)
 }
 
 fn main() {
     let args = Args::parse(1_000_000, 1);
-    let json_path = parse_json_path();
     let shards = 4;
     let depth = 4;
     let width = if args.quick { 1 << 14 } else { 1 << 16 };
@@ -272,7 +226,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"fig_live_query\",\n");
         json.push_str("  \"sketch\": \"salsa_cms_sum\",\n");
@@ -295,7 +249,7 @@ fn main() {
             ));
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("failed to write perf snapshot {path}: {e}"));
         eprintln!("wrote perf snapshot to {path}");
     }

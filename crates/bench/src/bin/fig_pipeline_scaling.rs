@@ -43,7 +43,6 @@ struct Point {
 
 fn main() {
     let args = Args::parse(2_000_000, 1);
-    let json_path = parse_json_path();
     let shard_counts: &[usize] = if args.quick {
         &[1, 2, 4]
     } else {
@@ -130,7 +129,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"fig_pipeline_scaling\",\n");
         json.push_str("  \"sketch\": \"salsa_cms_sum\",\n");
@@ -150,7 +149,7 @@ fn main() {
             ));
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("failed to write perf snapshot {path}: {e}"));
         eprintln!("wrote perf snapshot to {path}");
     }

@@ -33,8 +33,7 @@
 //! (higher is better) and `p50_query_ms` / `allocs_per_query` (lower is
 //! better).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,50 +45,8 @@ use salsa_serve::{serve, CachePolicy, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
-/// Counts every heap allocation in the process so `allocs_per_query` can
-/// be measured rather than asserted (same discipline as `fig_live_query`).
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards verbatim to the system allocator; the
-// relaxed counter bump has no effect on allocation semantics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc(layout) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` allocation and
-        // are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    // SAFETY: pure delegation; the contract is `System`'s own.
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations made by the process so far.
-fn heap_allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
 
 const CLIENTS: usize = 4;
 
@@ -277,12 +234,12 @@ fn run_alloc_lane(items: &[u64], seed: u64) -> Point {
     for &item in items.iter().take(8) {
         sink ^= client.point(item).expect("warm-up query").estimate;
     }
-    let before = heap_allocations();
+    let before = counting_alloc::allocations();
     for i in 0..QUERIES {
         let item = items[i as usize % items.len()];
         sink ^= client.point(item).expect("steady-state query").estimate;
     }
-    let allocs = heap_allocations() - before;
+    let allocs = counting_alloc::allocations() - before;
     std::hint::black_box(sink);
     drop(client);
     drop(server);
@@ -305,7 +262,6 @@ fn opt(value: Option<f64>) -> String {
 
 fn main() {
     let args = Args::parse(400_000, 1);
-    let json_path = parse_json_path();
     let min_secs = if args.quick { 0.4 } else { 2.0 };
     let items = trace_items(
         TraceSpec::Zipf {
@@ -344,7 +300,7 @@ fn main() {
         ]);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = &args.json {
         let mut json = String::from("{\n");
         json.push_str("  \"bench\": \"fig_serve\",\n");
         json.push_str("  \"sketch\": \"salsa_cms_sum\",\n");
@@ -379,7 +335,7 @@ fn main() {
             ));
         }
         json.push_str("  ]\n}\n");
-        std::fs::write(&path, json)
+        std::fs::write(path, json)
             .unwrap_or_else(|e| panic!("failed to write perf snapshot {path}: {e}"));
         eprintln!("wrote perf snapshot to {path}");
     }

@@ -118,14 +118,6 @@ pub fn finite(x: f64) -> f64 {
     }
 }
 
-/// The `--json PATH` argument of the perf-snapshot binaries, if present.
-pub fn parse_json_path() -> Option<String> {
-    let argv: Vec<String> = std::env::args().collect();
-    argv.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| argv.get(i + 1).cloned())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

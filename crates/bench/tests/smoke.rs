@@ -1,5 +1,7 @@
 //! Smoke tests: every `fig*` experiment binary must run in its quick
-//! configuration, exit successfully, and emit CSV with a header row.
+//! configuration, exit successfully, and emit CSV with a header row; and
+//! it must refuse a command line it does not understand instead of running
+//! its default experiment.
 //!
 //! This keeps the figure harness from bit-rotting: `cargo test` exercises
 //! each binary end-to-end with `--quick --updates 1000 --trials 1`.
@@ -83,5 +85,35 @@ fn every_figure_binary_runs_quick_and_emits_csv() {
         );
         let data_rows = lines.filter(|l| !l.trim().is_empty()).count();
         assert!(data_rows > 0, "{name}: header but no data rows");
+    }
+}
+
+#[test]
+fn every_figure_binary_refuses_unknown_flags_and_stops_at_help() {
+    for (name, path) in BINARIES {
+        let output = Command::new(path)
+            .args(["--quick", "--update", "1000"])
+            .output()
+            .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
+        assert!(
+            !output.status.success(),
+            "{name}: accepted the unknown flag --update"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "{name}: printed output for an unknown flag:\n{}",
+            String::from_utf8_lossy(&output.stdout)
+        );
+
+        let output = Command::new(path)
+            .arg("--help")
+            .output()
+            .unwrap_or_else(|e| panic!("{name}: failed to spawn: {e}"));
+        assert!(output.status.success(), "{name}: --help failed");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            stdout.starts_with("usage:") && stdout.lines().count() == 1,
+            "{name}: --help printed more than its usage:\n{stdout}"
+        );
     }
 }

@@ -96,24 +96,25 @@ impl<E: MergeEncoding> RowMerge for SalsaRow<E> {
 
 impl<E: MergeEncoding> RowMerge for SalsaSignedRow<E> {
     fn absorb(&mut self, other: &Self) {
-        self.assert_same_shape(other);
-        for (start, level, value) in other.counters() {
-            if value == 0 && level == 0 {
-                continue;
-            }
-            self.force_level_at_least(start, level);
-            self.add(start, value);
-        }
+        self.combine(other, 1);
     }
 
     fn subtract(&mut self, other: &Self) {
-        self.assert_same_shape(other);
+        self.combine(other, -1);
+    }
+}
+
+impl<E: MergeEncoding> SalsaSignedRow<E> {
+    /// `self := self + sign · other`, one counter of `other` at a time
+    /// (skipping zero base counters): the union counter is at least as
+    /// large as in either operand, then takes the signed value.
+    fn combine(&mut self, other: &Self, sign: i64) {
+        self.row.assert_same_shape(&other.row);
         for (start, level, value) in other.counters() {
-            if value == 0 && level == 0 {
-                continue;
+            if value != 0 || level != 0 {
+                self.force_level_at_least(start, level);
+                self.add(start, sign * value);
             }
-            self.force_level_at_least(start, level);
-            self.add(start, -value);
         }
     }
 }

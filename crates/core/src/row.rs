@@ -11,6 +11,12 @@
 //! Sketch (Section V): keeping the representation sign-symmetric is what
 //! makes the overflow event independent of the sign of the noise, so the
 //! SALSA Count Sketch stays unbiased (Lemma V.4).
+//!
+//! Both rows share one counter layout: a signed row is a sum-merge
+//! [`SalsaRow`] whose bit fields hold sign-magnitude words.  Storage, merge
+//! encoding, level lookup, field offsets, shape checks and the two steps of
+//! a merge (walk the block's counters, commit the merged one) are written
+//! once; the rows differ only in how a field reads and how values combine.
 
 use crate::bitmap::MergeBitmap;
 use crate::compact::LayoutCodes;
@@ -352,32 +358,37 @@ impl<E: MergeEncoding> SalsaRow<E> {
     /// counter one level larger whose value combines every sub-counter in
     /// the enlarged block under the row's [`MergeOp`].
     fn merge_up(&mut self, idx: usize, level: u32) {
-        let new_level = level + 1;
-        debug_assert!(new_level <= self.max_level);
-        let block_start = (idx >> new_level) << new_level;
-        let block_len = 1usize << new_level;
+        let op = self.merge_op;
+        let combined = self.fold_block(idx, level + 1, |acc, field, _| op.combine(acc, field));
+        self.commit_merge(idx, level + 1, combined);
+    }
 
-        // Combine the values of every (possibly differently sized) counter
-        // currently inside the enlarged block.
-        let mut combined: Option<u64> = None;
-        let mut i = block_start;
-        while i < block_start + block_len {
+    /// The first step of a merge up to `level`: folds `f`, from zero, over
+    /// the bit field and width of every (possibly differently sized)
+    /// counter in the level-`level` block holding `idx`, in slot order.
+    #[inline(always)]
+    fn fold_block<T: Default>(&self, idx: usize, level: u32, f: impl Fn(T, u64, u32) -> T) -> T {
+        debug_assert!(level <= self.max_level);
+        let start = (idx >> level) << level;
+        let mut acc = T::default();
+        let mut i = start;
+        while i < start + (1 << level) {
             let l = self.level_of(i);
-            let v = self.read_at_level(i, l);
-            combined = Some(match combined {
-                None => v,
-                Some(acc) => self.merge_op.combine(acc, v),
-            });
-            i += 1usize << l;
+            acc = f(acc, self.read_at_level(i, l), self.counter_bits(l));
+            i += 1 << l;
         }
-        let combined = combined.unwrap_or(0);
+        acc
+    }
 
-        self.encoding.mark_merged(idx, new_level);
-        self.storage.clear_range(
-            block_start * self.base_bits as usize,
-            block_len * self.base_bits as usize,
-        );
-        self.write_at_level(idx, new_level, combined);
+    /// The second step of a merge up to `level`: makes the level-`level`
+    /// block holding `idx` one counter whose bit field is `field`, and
+    /// counts the merge event.
+    fn commit_merge(&mut self, idx: usize, level: u32, field: u64) {
+        self.encoding.mark_merged(idx, level);
+        let start = (idx >> level) << level;
+        let bits = self.base_bits as usize;
+        self.storage.clear_range(start * bits, bits << level);
+        self.write_at_level(idx, level, field);
         self.merge_events += 1;
     }
 
@@ -815,14 +826,10 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
 /// event is therefore symmetric in the sign of the value, which is what keeps
 /// the SALSA Count Sketch unbiased (Lemma V.4).  Merging always sums the
 /// signed values (max-merge is not meaningful for signed noise).
+/// Its counters live in a sum-merge [`SalsaRow`] (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SalsaSignedRow<E: MergeEncoding = MergeBitmap> {
-    storage: BitStorage,
-    encoding: E,
-    width: usize,
-    base_bits: u32,
-    max_level: u32,
-    merge_events: u64,
+    pub(crate) row: SalsaRow<E>,
 }
 
 /// Sign-magnitude SALSA row with the simple encoding.
@@ -856,148 +863,60 @@ impl<E: MergeEncoding> SalsaSignedRow<E> {
         Self::with_max_bits(width, base_bits, 64)
     }
 
-    /// Like [`SalsaSignedRow::new`] with an explicit maximum counter width.
+    /// Like [`SalsaSignedRow::new`] with an explicit maximum counter width
+    /// (the checks of [`SalsaRow::with_max_bits`] apply).
     pub fn with_max_bits(width: usize, base_bits: u32, max_bits: u32) -> Self {
-        assert!(width.is_power_of_two(), "row width must be a power of two");
-        assert!(
-            matches!(base_bits, 2 | 4 | 8 | 16 | 32 | 64),
-            "base counter size must be one of 2, 4, 8, 16, 32, 64 bits"
-        );
-        assert!(
-            max_bits.is_power_of_two() && max_bits >= base_bits && max_bits <= 64,
-            "max counter size must be a power of two in [base_bits, 64]"
-        );
-        let max_level = (max_bits / base_bits).trailing_zeros();
-        assert!((1usize << max_level) <= width);
         Self {
-            storage: BitStorage::new(width * base_bits as usize),
-            encoding: E::for_width(width),
-            width,
-            base_bits,
-            max_level,
-            merge_events: 0,
+            row: SalsaRow::with_max_bits(width, base_bits, MergeOp::Sum, max_bits),
         }
-    }
-
-    /// Base counter size in bits (`s`).
-    #[inline]
-    pub fn base_bits(&self) -> u32 {
-        self.base_bits
-    }
-
-    /// Number of merge events that have occurred so far.
-    #[inline]
-    pub fn merge_events(&self) -> u64 {
-        self.merge_events
     }
 
     /// Level of the counter containing base slot `idx`.
     #[inline(always)]
     pub fn level_of(&self, idx: usize) -> u32 {
-        self.encoding.level_of(idx, self.max_level)
-    }
-
-    #[inline(always)]
-    fn counter_bits(&self, level: u32) -> u32 {
-        self.base_bits << level
-    }
-
-    #[inline(always)]
-    fn counter_offset(&self, idx: usize, level: u32) -> usize {
-        ((idx >> level) << level) * self.base_bits as usize
+        self.row.level_of(idx)
     }
 
     #[inline(always)]
     fn read_at_level(&self, idx: usize, level: u32) -> i64 {
-        let bits = self.counter_bits(level);
         decode_sign_magnitude(
-            self.storage
-                .read_aligned(self.counter_offset(idx, level), bits),
-            bits,
+            self.row.read_at_level(idx, level),
+            self.row.counter_bits(level),
         )
     }
 
     #[inline(always)]
     fn write_at_level(&mut self, idx: usize, level: u32, value: i64) {
-        let bits = self.counter_bits(level);
-        self.storage.write_aligned(
-            self.counter_offset(idx, level),
-            bits,
-            encode_sign_magnitude(value, bits),
-        );
+        let field = encode_sign_magnitude(value, self.row.counter_bits(level));
+        self.row.write_at_level(idx, level, field);
     }
 
+    /// [`SalsaRow`]'s merge up, summing the decoded values.
     fn merge_up(&mut self, idx: usize, level: u32) {
-        let new_level = level + 1;
-        debug_assert!(new_level <= self.max_level);
-        let block_start = (idx >> new_level) << new_level;
-        let block_len = 1usize << new_level;
-        let mut sum: i64 = 0;
-        let mut i = block_start;
-        while i < block_start + block_len {
-            let l = self.level_of(i);
-            sum = sum.saturating_add(self.read_at_level(i, l));
-            i += 1usize << l;
-        }
-        self.encoding.mark_merged(idx, new_level);
-        self.storage.clear_range(
-            block_start * self.base_bits as usize,
-            block_len * self.base_bits as usize,
-        );
-        self.write_at_level(idx, new_level, sum);
-        self.merge_events += 1;
+        let sum = self
+            .row
+            .fold_block(idx, level + 1, |acc: i64, field, bits| {
+                acc.saturating_add(decode_sign_magnitude(field, bits))
+            });
+        let field = encode_sign_magnitude(sum, self.row.counter_bits(level + 1));
+        self.row.commit_merge(idx, level + 1, field);
     }
 
     /// Ensures the counter containing `idx` has at least the given level,
     /// merging as needed.
     pub fn force_level_at_least(&mut self, idx: usize, level: u32) {
-        let level = level.min(self.max_level);
+        let level = level.min(self.row.max_level);
         while self.level_of(idx) < level {
-            let current = self.level_of(idx);
-            self.merge_up(idx, current);
-        }
-    }
-
-    /// Panics unless `other` has this row's shape — width, base width and
-    /// maximum level — as every counter-wise combination and
-    /// [`SignedRow::copy_from`] require.
-    pub(crate) fn assert_same_shape(&self, other: &Self) {
-        assert_eq!(self.width, other.width, "row widths must match");
-        assert_eq!(self.base_bits, other.base_bits, "base widths must match");
-        assert_eq!(self.max_level, other.max_level, "max levels must match");
-    }
-
-    /// Overwrites the counter containing `idx` with `value`, merging first if
-    /// the magnitude does not fit the counter's current width.
-    pub fn set_value(&mut self, idx: usize, value: i64) {
-        loop {
-            let level = self.level_of(idx);
-            let cap = signed_magnitude_capacity(self.counter_bits(level)) as i64;
-            if value.unsigned_abs() <= cap as u64 {
-                self.write_at_level(idx, level, value);
-                return;
-            }
-            if level == self.max_level {
-                self.write_at_level(idx, level, if value < 0 { -cap } else { cap });
-                return;
-            }
-            self.merge_up(idx, level);
+            self.merge_up(idx, self.level_of(idx));
         }
     }
 
     /// Iterates over the logical counters of the row as `(start, level,
     /// signed value)` triples.
     pub fn counters(&self) -> impl Iterator<Item = (usize, u32, i64)> + '_ {
-        let mut idx = 0usize;
-        std::iter::from_fn(move || {
-            if idx >= self.width {
-                return None;
-            }
-            let level = self.level_of(idx);
-            let value = self.read_at_level(idx, level);
-            let out = (idx, level, value);
-            idx += 1usize << level;
-            Some(out)
+        self.row.counters().map(|c| {
+            let value = decode_sign_magnitude(c.value, self.row.counter_bits(c.level));
+            (c.start, c.level, value)
         })
     }
 }
@@ -1005,13 +924,12 @@ impl<E: MergeEncoding> SalsaSignedRow<E> {
 impl<E: MergeEncoding> SignedRow for SalsaSignedRow<E> {
     #[inline]
     fn width(&self) -> usize {
-        self.width
+        self.row.width
     }
 
     #[inline(always)]
     fn read(&self, idx: usize) -> i64 {
-        let level = self.level_of(idx);
-        self.read_at_level(idx, level)
+        self.read_at_level(idx, self.level_of(idx))
     }
 
     fn add(&mut self, idx: usize, value: i64) {
@@ -1020,15 +938,13 @@ impl<E: MergeEncoding> SignedRow for SalsaSignedRow<E> {
         }
         loop {
             let level = self.level_of(idx);
-            let bits = self.counter_bits(level);
-            let cur = self.read_at_level(idx, level);
-            let new = cur.saturating_add(value);
-            let cap = signed_magnitude_capacity(bits) as i64;
+            let new = self.read_at_level(idx, level).saturating_add(value);
+            let cap = signed_magnitude_capacity(self.row.counter_bits(level)) as i64;
             if new.unsigned_abs() <= cap as u64 {
                 self.write_at_level(idx, level, new);
                 return;
             }
-            if level == self.max_level {
+            if level == self.row.max_level {
                 self.write_at_level(idx, level, if new < 0 { -cap } else { cap });
                 return;
             }
@@ -1037,20 +953,15 @@ impl<E: MergeEncoding> SignedRow for SalsaSignedRow<E> {
     }
 
     fn size_bytes(&self) -> usize {
-        (self.width * self.base_bits as usize + E::overhead_bits(self.width)).div_ceil(8)
+        self.row.size_bytes()
     }
 
     fn copy_from(&mut self, src: &Self) {
-        self.assert_same_shape(src);
-        self.storage.copy_from(&src.storage);
-        self.encoding.copy_from(&src.encoding);
-        self.merge_events = src.merge_events;
+        self.row.copy_from(&src.row);
     }
 
     fn reset(&mut self) {
-        self.storage.clear();
-        self.encoding.reset();
-        self.merge_events = 0;
+        self.row.reset();
     }
 }
 

@@ -3,8 +3,8 @@
 //! AEE (Ben Basat et al., INFOCOM'20) keeps small fixed-width counters and a
 //! global sampling probability `p`: each update is counted only with
 //! probability `p`, and whenever a counter would overflow (MaxAccuracy) or a
-//! fixed number of updates has been sampled (MaxSpeed), `p` is halved and all
-//! counters are divided by two (probabilistically or deterministically).
+//! fixed number of updates has been sampled (MaxSpeed), `p` is halved and every
+//! counter `c` is replaced by a Binomial(`c`, ½) sample.
 //! Estimates are scaled back by `1/p`, trading a bounded additive error for
 //! a much larger counting range and fewer hash computations.
 //!
@@ -20,7 +20,8 @@
 //! Both sketches are Count-Min sketches with a sampling update rule: each
 //! wraps a [`CountMin`], whose counter array, hashing and
 //! minimum-over-rows estimate they use as is (scaled by `1/p`), and whose
-//! bucket scratch holds the current item's per-row buckets.
+//! bucket scratch holds the current item's per-row buckets.  Both sample
+//! through one `Sampler`.
 
 use salsa_core::bitmap::MergeBitmap;
 use salsa_core::fixed::FixedRow;
@@ -32,16 +33,6 @@ use salsa_hash::SeedSequence;
 use crate::cms::CountMin;
 use crate::estimator::FrequencyEstimator;
 use crate::summary::FrequencyQueries;
-
-/// How counters are halved when downsampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Downsampling {
-    /// Replace `c` by a Binomial(`c`, ½) sample (unbiased).
-    #[default]
-    Probabilistic,
-    /// Replace `c` by `⌊c/2⌋` (cheaper, slightly biased).
-    Deterministic,
-}
 
 /// The AEE operating mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +64,39 @@ fn binomial_half(n: u64, rng: &mut SeedSequence) -> u64 {
     sample
 }
 
-/// Halves a counter value according to the chosen [`Downsampling`] rule.
-fn halve(value: u64, rule: Downsampling, rng: &mut SeedSequence) -> u64 {
-    match rule {
-        Downsampling::Probabilistic => binomial_half(value, rng),
-        Downsampling::Deterministic => value / 2,
+/// The geometric sampling both AEE sketches share: the rate `p` and the
+/// random draws of sampling, halving and the pending unit's survival.
+#[derive(Debug, Clone)]
+struct Sampler {
+    /// `p = 2^{-log_inv_p}`.
+    log_inv_p: u32,
+    rng: SeedSequence,
+}
+
+impl Sampler {
+    fn new(seed: u64) -> Self {
+        Self {
+            log_inv_p: 0,
+            rng: SeedSequence::new(seed),
+        }
+    }
+
+    fn probability(&self) -> f64 {
+        0.5f64.powi(self.log_inv_p as i32)
+    }
+
+    /// Offers `value` units of `item` (one draw per unit once `p < 1`) and
+    /// returns how many were sampled.  Hashes `item` into `cms`'s scratch
+    /// only if one was: this is where AEE gains its speed.
+    fn sample<R: Row>(&mut self, cms: &mut CountMin<R>, item: u64, value: u64) -> u64 {
+        let mask = (1u64 << self.log_inv_p) - 1;
+        let units = (0..value)
+            .filter(|_| mask == 0 || self.rng.next_seed() & mask == 0)
+            .count() as u64;
+        if units > 0 {
+            cms.hash_into_scratch(item);
+        }
+        units
     }
 }
 
@@ -86,48 +105,27 @@ fn halve(value: u64, rule: Downsampling, rng: &mut SeedSequence) -> u64 {
 #[derive(Debug, Clone)]
 pub struct AeeCountMin {
     cms: CountMin<FixedRow>,
-    /// `p = 2^{-log_inv_p}`.
-    log_inv_p: u32,
-    rng: SeedSequence,
+    sampler: Sampler,
     mode: AeeMode,
-    downsampling: Downsampling,
     sampled_since_downsample: u64,
-    processed: u64,
 }
 
 impl AeeCountMin {
     /// Creates an AEE sketch with `depth × width` counters of `bits` bits.
-    pub fn new(
-        depth: usize,
-        width: usize,
-        bits: u32,
-        mode: AeeMode,
-        downsampling: Downsampling,
-        seed: u64,
-    ) -> Self {
+    pub fn new(depth: usize, width: usize, bits: u32, mode: AeeMode, seed: u64) -> Self {
         let mut cms = CountMin::baseline(depth, width, bits, seed);
         cms.scratch.resize(depth, 0);
         Self {
             cms,
-            log_inv_p: 0,
-            rng: SeedSequence::new(seed ^ 0xAEE0_AEE0_AEE0_AEE0),
+            sampler: Sampler::new(seed ^ 0xAEE0_AEE0_AEE0_AEE0),
             mode,
-            downsampling,
             sampled_since_downsample: 0,
-            processed: 0,
         }
     }
 
     /// The accuracy-optimal configuration (downsample on overflow).
     pub fn max_accuracy(depth: usize, width: usize, bits: u32, seed: u64) -> Self {
-        Self::new(
-            depth,
-            width,
-            bits,
-            AeeMode::MaxAccuracy,
-            Downsampling::Probabilistic,
-            seed,
-        )
+        Self::new(depth, width, bits, AeeMode::MaxAccuracy, seed)
     }
 
     /// The speed-optimal configuration (periodic downsampling).
@@ -143,39 +141,23 @@ impl AeeCountMin {
             width,
             bits,
             AeeMode::MaxSpeed { downsample_every },
-            Downsampling::Probabilistic,
             seed,
         )
     }
 
     /// Current sampling probability.
     pub fn sampling_probability(&self) -> f64 {
-        0.5f64.powi(self.log_inv_p as i32)
-    }
-
-    /// Total number of updates offered (sampled or not).
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    #[inline]
-    fn is_sampled(&mut self) -> bool {
-        if self.log_inv_p == 0 {
-            return true;
-        }
-        let mask = (1u64 << self.log_inv_p) - 1;
-        self.rng.next_seed() & mask == 0
+        self.sampler.probability()
     }
 
     fn downsample(&mut self) {
-        self.log_inv_p += 1;
+        self.sampler.log_inv_p += 1;
         self.sampled_since_downsample = 0;
-        let rule = self.downsampling;
         for row in &mut self.cms.rows {
             for idx in 0..row.width() {
                 let value = row.read(idx);
                 if value > 0 {
-                    row.set_slot(idx, halve(value, rule, &mut self.rng));
+                    row.set_slot(idx, binomial_half(value, &mut self.sampler.rng));
                 }
             }
         }
@@ -185,21 +167,9 @@ impl AeeCountMin {
     /// Cash Register streams; weighted updates are handled by repeated
     /// sampling of the weight).
     pub fn update(&mut self, item: u64, value: u64) {
-        self.processed += value;
-        let mut increments = 0u64;
-        for _ in 0..value {
-            if self.is_sampled() {
-                increments += 1;
-            }
-        }
-        if increments == 0 {
-            return;
-        }
-        // Hash once per row only when at least one unit survived sampling —
-        // this is where AEE gains its speed.
-        self.cms.hash_into_scratch(item);
+        let units = self.sampler.sample(&mut self.cms, item, value);
         let cap = self.cms.rows[0].capacity();
-        for _ in 0..increments {
+        for _ in 0..units {
             self.sampled_since_downsample += 1;
             // Overflow / periodic downsampling checks.
             let would_overflow = self
@@ -213,7 +183,7 @@ impl AeeCountMin {
             if would_overflow || periodic {
                 self.downsample();
                 // The pending unit survives the halving with probability ½.
-                if self.rng.next_seed() & 1 == 1 {
+                if self.sampler.rng.next_seed() & 1 == 1 {
                     continue;
                 }
             }
@@ -225,7 +195,7 @@ impl AeeCountMin {
 
     /// Estimates the frequency of `item` (minimum counter scaled by `1/p`).
     pub fn estimate(&self, item: u64) -> u64 {
-        self.cms.estimate(item) << self.log_inv_p
+        self.cms.estimate(item) << self.sampler.log_inv_p
     }
 
     /// Total memory used, in bytes.
@@ -261,8 +231,8 @@ const DELTA: f64 = 0.001;
 /// Configuration for the SALSA-AEE hybrid.
 ///
 /// The base counter size (8 bits), the failure probability `δ` (0.001)
-/// and the halving rule ([`Downsampling::Probabilistic`]) are the paper's
-/// and fixed.
+/// and the halving rule (a Binomial(`c`, ½) sample) are the paper's and
+/// fixed.
 #[derive(Debug, Clone, Copy)]
 pub struct SalsaAeeConfig {
     /// Number of rows (`d`).
@@ -296,8 +266,7 @@ pub struct SalsaAee {
     cms: CountMin<SalsaRow<MergeBitmap>>,
     force_downsample_first: u32,
     split_after_downsample: bool,
-    log_inv_p: u32,
-    rng: SeedSequence,
+    sampler: Sampler,
     processed: u64,
     downsample_events: u32,
     max_level_seen: u32,
@@ -312,8 +281,7 @@ impl SalsaAee {
             cms,
             force_downsample_first: config.force_downsample_first,
             split_after_downsample: config.split_after_downsample,
-            log_inv_p: 0,
-            rng: SeedSequence::new(seed ^ 0x5A15_AAEE_5A15_AAEE),
+            sampler: Sampler::new(seed ^ 0x5A15_AAEE_5A15_AAEE),
             processed: 0,
             downsample_events: 0,
             max_level_seen: 0,
@@ -334,21 +302,12 @@ impl SalsaAee {
 
     /// Current sampling probability.
     pub fn sampling_probability(&self) -> f64 {
-        0.5f64.powi(self.log_inv_p as i32)
+        self.sampler.probability()
     }
 
     /// Number of downsampling events so far.
     pub fn downsample_events(&self) -> u32 {
         self.downsample_events
-    }
-
-    #[inline]
-    fn is_sampled(&mut self) -> bool {
-        if self.log_inv_p == 0 {
-            return true;
-        }
-        let mask = (1u64 << self.log_inv_p) - 1;
-        self.rng.next_seed() & mask == 0
     }
 
     /// The estimator error increase if we downsample: `Δ_est = √2·ε_est`
@@ -358,7 +317,7 @@ impl SalsaAee {
             return f64::INFINITY;
         }
         let delta_est = DELTA / 4.0;
-        let inv_p = 2f64.powi(self.log_inv_p as i32);
+        let inv_p = 2f64.powi(self.sampler.log_inv_p as i32);
         let eps_est = (2.0 * inv_p * (2.0 / delta_est).ln()).sqrt() / self.processed as f64;
         std::f64::consts::SQRT_2 * eps_est
     }
@@ -371,11 +330,11 @@ impl SalsaAee {
     }
 
     fn downsample(&mut self) {
-        self.log_inv_p += 1;
+        self.sampler.log_inv_p += 1;
         self.downsample_events += 1;
         // Halve every counter; splitting can only shrink levels.
         for row in &mut self.cms.rows {
-            row.map_counters(|v| binomial_half(v, &mut self.rng));
+            row.map_counters(|v| binomial_half(v, &mut self.sampler.rng));
             if self.split_after_downsample {
                 row.split_all();
             }
@@ -393,17 +352,8 @@ impl SalsaAee {
     /// Processes a unit-weight (or small-weight) update.
     pub fn update(&mut self, item: u64, value: u64) {
         self.processed += value;
-        let mut increments = 0u64;
-        for _ in 0..value {
-            if self.is_sampled() {
-                increments += 1;
-            }
-        }
-        if increments == 0 {
-            return;
-        }
-        self.cms.hash_into_scratch(item);
-        for _ in 0..increments {
+        let units = self.sampler.sample(&mut self.cms, item, value);
+        for _ in 0..units {
             // Would this update overflow one of the *largest* counters?
             let rows = &self.cms.rows;
             let absolute_max = rows[0].max_level();
@@ -418,7 +368,7 @@ impl SalsaAee {
                 if must_downsample || forced || prefer_downsample {
                     self.downsample();
                     // The pending unit survives the halving with prob. ½.
-                    if self.rng.next_seed() & 1 == 1 {
+                    if self.sampler.rng.next_seed() & 1 == 1 {
                         continue;
                     }
                 }
@@ -432,7 +382,7 @@ impl SalsaAee {
 
     /// Estimates the frequency of `item` (minimum counter scaled by `1/p`).
     pub fn estimate(&self, item: u64) -> u64 {
-        self.cms.estimate(item) << self.log_inv_p
+        self.cms.estimate(item) << self.sampler.log_inv_p
     }
 
     /// Total memory used, in bytes (including merge-bit overhead).

@@ -53,7 +53,7 @@ pub mod univmon;
 
 /// Convenient re-exports of the most commonly used types.
 pub mod prelude {
-    pub use crate::aee::{AeeCountMin, AeeMode, Downsampling, SalsaAee, SalsaAeeConfig};
+    pub use crate::aee::{AeeCountMin, AeeMode, SalsaAee, SalsaAeeConfig};
     pub use crate::cms::CountMin;
     pub use crate::cold_filter::ColdFilter;
     pub use crate::cs::CountSketch;

@@ -1,9 +1,10 @@
-//! Golden estimates: what CUS, Cold Filter and the AEE sketches answer on
-//! one seeded stream, pinned value for value.
+//! Golden estimates: what CUS, Cold Filter, the AEE sketches, the Count
+//! Sketch and UnivMon answer on one seeded stream, pinned value for value.
 //!
 //! The stream has 160,000 zipf-like items over 2,000 keys.  Key 1 alone
 //! takes about half of it, so every 8-bit counter below overflows: SALSA
-//! rows merge, and the AEE sketches downsample.  A change to a sketch's
+//! rows merge (signed ones up to 32-bit counters), and the AEE sketches
+//! downsample.  A change to a sketch's
 //! hashing, its update rule or the order of its random draws moves these
 //! numbers.  They were recorded from the implementation, not derived from
 //! the paper, so a deliberate change of behaviour records them anew.
@@ -147,4 +148,89 @@ fn salsa_aee_split() {
     assert_eq!(aee.size_bytes(), 4608);
     assert_eq!(aee.sampling_probability(), 0.25);
     assert_eq!(aee.downsample_events(), 2);
+}
+
+/// The Count Sketch's history on the stream: `sketch` ingests the first
+/// half, takes a pass of negative updates over every fifth item of it,
+/// merges a second sketch over the second half and subtracts a third over
+/// the middle 60,000 items.  Returns the estimates of [`KEYS`].
+fn count_sketch_history<R>(make: impl Fn() -> CountSketch<R>) -> (CountSketch<R>, Vec<i64>)
+where
+    R: SignedRow + RowMerge + Send + 'static,
+{
+    let stream = stream();
+    let mut sketch = make();
+    sketch.ingest(&stream[..80_000]);
+    for &item in stream[..80_000].iter().step_by(5) {
+        sketch.update(item, -2);
+    }
+    let mut second = make();
+    second.ingest(&stream[80_000..]);
+    sketch.merge_from(&second);
+    let mut third = make();
+    third.ingest(&stream[40_000..100_000]);
+    sketch.subtract(&third);
+    let estimates = KEYS.iter().map(|&key| sketch.estimate(key)).collect();
+    (sketch, estimates)
+}
+
+/// The layout of each row of a SALSA Count Sketch: its number of counters
+/// and its largest counter level.
+fn layouts<E: MergeEncoding>(sketch: &CountSketch<SalsaSignedRow<E>>) -> Vec<(usize, u32)> {
+    sketch
+        .rows()
+        .iter()
+        .map(|row| {
+            let levels = row.counters().map(|(_, level, _)| level);
+            levels.fold((0, 0), |(count, max), level| (count + 1, max.max(level)))
+        })
+        .collect()
+}
+
+#[test]
+fn count_sketch_baseline() {
+    let (cs, estimates) = count_sketch_history(|| CountSketch::baseline(4, 64, 32, SEED));
+    assert_eq!(
+        estimates,
+        [5, 33919, 11444, 5573, 3416, 2225, 1104, 636, 122, 37, 3, -4]
+    );
+    assert_eq!(cs.size_bytes(), 1024);
+}
+
+#[test]
+fn count_sketch_salsa() {
+    let (cs, estimates) = count_sketch_history(|| CountSketch::salsa(4, 256, 8, SEED));
+    assert_eq!(
+        estimates,
+        [0, 33854, 11431, 5601, 3417, 2313, 1117, 680, 83, -16, 29, 1]
+    );
+    assert_eq!(cs.size_bytes(), 1152);
+    assert_eq!(layouts(&cs), [(229, 2), (227, 2), (229, 2), (227, 2)]);
+}
+
+#[test]
+fn count_sketch_salsa_compact() {
+    let (cs, estimates) = count_sketch_history(|| CountSketch::salsa_compact(4, 256, 8, SEED));
+    assert_eq!(
+        estimates,
+        [0, 33854, 11431, 5601, 3417, 2313, 1117, 680, 83, -16, 29, 1]
+    );
+    assert_eq!(cs.size_bytes(), 1100);
+    assert_eq!(layouts(&cs), [(229, 2), (227, 2), (229, 2), (227, 2)]);
+}
+
+/// Compared as bit patterns: a refactor of the signed rows must not move
+/// the recursive estimator's floating-point sums by even one ulp.
+#[test]
+fn univmon_salsa() {
+    let stream = stream();
+    let mut um = UnivMon::salsa(6, 4, 1024, 8, 64, SEED);
+    um.ingest(&stream[..80_000]);
+    let mut second = UnivMon::salsa(6, 4, 1024, 8, 64, SEED);
+    second.ingest(&stream[80_000..]);
+    um.merge_from(&second);
+    assert_eq!(um.entropy().to_bits(), 2.935621057391174f64.to_bits());
+    assert_eq!(um.fp_moment(2.0).to_bits(), 7425035910.0f64.to_bits());
+    assert_eq!(um.distinct().to_bits(), 552.0f64.to_bits());
+    assert_eq!(um.size_bytes(), 27648);
 }

@@ -23,9 +23,6 @@
 //! own allocations, because freshly started or just-flushed shard workers
 //! may still be allocating on their own threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use salsa_core::traits::MergeOp;
@@ -35,62 +32,10 @@ use salsa_serve::CachePolicy;
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
-/// Counts every heap allocation in the process.  Frees are not counted:
-/// the discipline under test is "no fresh memory on the hot path".
-struct CountingAlloc;
+#[path = "../crates/bench/src/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// The calling thread's share of `ALLOCATIONS`.  Const-initialized and
-    /// without a destructor, so reading it never allocates.
-    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_allocation() {
-    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-    let _ = THREAD_ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every method forwards verbatim to the system allocator; the
-// counter bumps (a relaxed atomic and a thread-local `Cell`, neither of
-// which allocates) have no effect on allocation semantics.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was allocated by `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_allocation();
-        // SAFETY: `ptr`/`layout` describe a live `System` allocation and
-        // are forwarded unchanged.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_allocation();
-        // SAFETY: `layout` is forwarded unchanged from our caller.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-fn thread_allocations() -> u64 {
-    THREAD_ALLOCATIONS.with(Cell::get)
-}
+use counting_alloc::{allocations, thread_allocations};
 
 const SHARDS: usize = 4;
 const DEPTH: usize = 4;

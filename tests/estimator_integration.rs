@@ -81,16 +81,14 @@ fn aee_max_speed_is_faster_but_not_wildly_inaccurate() {
 }
 
 #[test]
-fn probabilistic_and_deterministic_downsampling_both_work() {
+fn max_accuracy_downsampling_keeps_the_heaviest_flow_close() {
     let items = test_stream(200_000, 10_000, 1.2, 21);
-    for rule in [Downsampling::Probabilistic, Downsampling::Deterministic] {
-        let mut aee = AeeCountMin::new(4, 1 << 10, 8, AeeMode::MaxAccuracy, rule, 23);
-        for &i in &items {
-            aee.update(i, 1);
-        }
-        let truth = salsa_metrics::GroundTruth::from_items(&items);
-        let (heavy, count) = truth.top_k(1)[0];
-        let rel = (aee.estimate(heavy) as f64 - count as f64).abs() / count as f64;
-        assert!(rel < 0.25, "{rule:?}: relative error {rel}");
+    let mut aee = AeeCountMin::max_accuracy(4, 1 << 10, 8, 23);
+    for &i in &items {
+        aee.update(i, 1);
     }
+    let truth = salsa_metrics::GroundTruth::from_items(&items);
+    let (heavy, count) = truth.top_k(1)[0];
+    let rel = (aee.estimate(heavy) as f64 - count as f64).abs() / count as f64;
+    assert!(rel < 0.25, "relative error {rel}");
 }
