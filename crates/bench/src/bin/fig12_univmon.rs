@@ -28,11 +28,14 @@ impl AnyUnivMon {
             AnyUnivMon::Salsa(u) => u.update(item, value),
         }
     }
+    /// A failed (negative) estimate reads 0.0, the value this figure has
+    /// always plotted for it.
     fn entropy(&self) -> f64 {
         match self {
             AnyUnivMon::Baseline(u) => u.entropy(),
             AnyUnivMon::Salsa(u) => u.entropy(),
         }
+        .unwrap_or(0.0)
     }
     fn fp_moment(&self, p: f64) -> f64 {
         match self {

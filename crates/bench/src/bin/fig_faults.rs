@@ -35,9 +35,7 @@ use std::time::Instant;
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
 use salsa_metrics::mops_for;
-use salsa_pipeline::{
-    silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline, SupervisorConfig,
-};
+use salsa_pipeline::{silence_worker_panics, FaultPlan, PipelineConfig, Recovery, ShardedPipeline};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -90,8 +88,7 @@ fn main() {
 
     // -- healthy: supervision on, no faults ------------------------------
     {
-        let config = PipelineConfig::new(SHARDS);
-        let mut pipeline = ShardedPipeline::supervised(&config, SupervisorConfig::new(), make);
+        let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(SHARDS), make);
         let started = Instant::now();
         let mut cycles = 0u64;
         loop {
@@ -101,7 +98,7 @@ fn main() {
                 break;
             }
         }
-        let out = pipeline.try_finish().expect("no faults were injected");
+        let out = pipeline.finish();
         let secs = started.elapsed().as_secs_f64();
         assert!(out.failed_shards.is_empty() && out.lost_items == 0);
         points.push(Point {
@@ -119,9 +116,8 @@ fn main() {
     // -- degraded: shard 1 dies early, survivors carry the run -----------
     {
         let plan = Arc::new(FaultPlan::new().panic_shard(VICTIM, fault_after));
-        let config = PipelineConfig::new(SHARDS);
-        let supervisor = SupervisorConfig::new().chaos(plan);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make);
+        let config = PipelineConfig::new(SHARDS).chaos(plan);
+        let mut pipeline = ShardedPipeline::new(&config, make);
         let started = Instant::now();
         let mut cycles = 0u64;
         loop {
@@ -131,9 +127,7 @@ fn main() {
                 break;
             }
         }
-        let out = pipeline
-            .try_finish()
-            .expect("three survivors still assemble an output");
+        let out = pipeline.finish();
         let secs = started.elapsed().as_secs_f64();
         assert_eq!(out.failed_shards, vec![VICTIM]);
         points.push(Point {
@@ -151,10 +145,11 @@ fn main() {
     // -- restart: the same death, healed by the restart policy -----------
     {
         let plan = Arc::new(FaultPlan::new().panic_shard(VICTIM, fault_after));
-        let config = PipelineConfig::new(SHARDS);
-        let supervisor = SupervisorConfig::new().restart(1).chaos(plan);
-        let counters = Arc::clone(&supervisor.counters);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make);
+        let config = PipelineConfig::new(SHARDS)
+            .recovery(Recovery::Restart { max_restarts: 1 })
+            .chaos(plan);
+        let mut pipeline = ShardedPipeline::new(&config, make);
+        let counters = Arc::clone(pipeline.counters());
         let started = Instant::now();
         let mut cycles = 0u64;
         let mut recovery_ms = None;
@@ -175,9 +170,7 @@ fn main() {
             }
         }
         let restarts = counters.worker_restarts.get();
-        let out = pipeline
-            .try_finish()
-            .expect("the restarted shard reports like any other");
+        let out = pipeline.finish();
         let secs = started.elapsed().as_secs_f64();
         assert!(out.failed_shards.is_empty(), "the restart healed the set");
         assert_eq!(restarts, 1, "the single scripted fault fires once");

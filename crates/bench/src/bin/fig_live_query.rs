@@ -150,7 +150,7 @@ fn main() {
                 let mut warmed_up = false;
                 while !stop.load(Ordering::Acquire) {
                     let issued = Instant::now();
-                    let Some(view) = handle.snapshot() else {
+                    let Ok(view) = handle.snapshot() else {
                         break; // the pipeline has been finished
                     };
                     // The served query: top-k over the candidate hot set.

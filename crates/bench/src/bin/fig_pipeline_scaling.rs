@@ -3,9 +3,9 @@
 //! ingestion layer (this figure is ours, not the paper's — it evaluates the
 //! Section V merge results as a distribution mechanism).
 //!
-//! For every shard count and partitioning mode the binary streams a Zipf
-//! trace through a [`salsa_pipeline::ShardedPipeline`] of SALSA sum-merge
-//! CMS shards and reports two throughputs:
+//! For every shard count the binary streams a Zipf trace through a
+//! [`salsa_pipeline::ShardedPipeline`] of SALSA sum-merge CMS shards and
+//! reports two throughputs:
 //!
 //! * `wall_mops` — items over wall-clock time of the whole run, which only
 //!   scales with shard count when the host actually has that many cores;
@@ -14,26 +14,29 @@
 //!   sustains with one core per shard.  This is the number tracked in the
 //!   perf snapshot, because CI runners have few cores.
 //!
-//! Accuracy: with sum-merge rows and either partitioning mode the merged
-//! view must match the unsharded sketch *exactly*, so `max_abs_diff` (over
-//! a probe set of items) is expected to be 0.
+//! Accuracy: with sum-merge rows the merged view must match the unsharded
+//! sketch *exactly*, so `max_abs_diff` (over a probe set of items) is
+//! expected to be 0.
 //!
 //! Output columns: `partition,shards,wall_mops,scaled_mops,speedup,max_abs_diff`
-//! where `speedup` is `scaled_mops` relative to the same partition's
-//! 1-shard run.  `--json PATH` additionally writes a machine-readable
+//! where `partition` is always `by_key` (the pipeline's one routing mode;
+//! the column keeps the snapshot's row names stable) and `speedup` is
+//! `scaled_mops` relative to the 1-shard run.  `--json PATH` additionally writes a machine-readable
 //! snapshot (see `bench-smoke` in CI, which uploads it as
 //! `BENCH_pipeline.json`).
 
 use salsa_bench::*;
 use salsa_core::traits::MergeOp;
 use salsa_metrics::{mops_for, Throughput};
-use salsa_pipeline::{run_sharded, Partition, PipelineConfig};
+use salsa_pipeline::{run_sharded, PipelineConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
+/// The pipeline's routing mode, as the CSV and the perf snapshot name it.
+const PARTITION: &str = "by_key";
+
 /// One measured point of the figure.
 struct Point {
-    partition: &'static str,
     shards: usize,
     wall_mops: f64,
     scaled_mops: f64,
@@ -83,50 +86,46 @@ fn main() {
         "max_abs_diff",
     ]);
     let mut points: Vec<Point> = Vec::new();
-    for partition in [Partition::ByKey, Partition::RoundRobin] {
-        let mut one_shard_scaled = f64::NAN;
-        for &shards in shard_counts {
-            let config = PipelineConfig::new(shards).partition(partition);
-            let mut wall = Throughput::start();
-            let out = run_sharded(&config, make(args.seed), &items);
-            wall.add_ops(items.len() as u64);
-            let wall_mops = wall.mops();
-            // A coarse clock can measure zero busy time on a tiny --quick
-            // run, which mops_for saturates to infinity; fall back to the
-            // unsharded wall rate so every reported point stays finite
-            // (the JSON snapshot must never contain `inf`).
-            let raw_scaled = mops_for(out.items, out.critical_path_secs());
-            let scaled_mops = if raw_scaled.is_finite() {
-                raw_scaled
-            } else {
-                mops_for(out.items, single_secs)
-            };
-            if shards == 1 {
-                one_shard_scaled = scaled_mops;
-            }
-            let speedup = scaled_mops / one_shard_scaled;
-            let max_abs_diff = probes
-                .iter()
-                .map(|&item| out.merged.estimate(item).abs_diff(single.estimate(item)))
-                .max()
-                .unwrap_or(0);
-            csv_row(&[
-                partition.name().into(),
-                format!("{shards}"),
-                fmt(wall_mops),
-                fmt(scaled_mops),
-                fmt(speedup),
-                format!("{max_abs_diff}"),
-            ]);
-            points.push(Point {
-                partition: partition.name(),
-                shards,
-                wall_mops,
-                scaled_mops,
-                speedup,
-                max_abs_diff,
-            });
+    let mut one_shard_scaled = f64::NAN;
+    for &shards in shard_counts {
+        let mut wall = Throughput::start();
+        let out = run_sharded(&PipelineConfig::new(shards), make(args.seed), &items);
+        wall.add_ops(items.len() as u64);
+        let wall_mops = wall.mops();
+        // A coarse clock can measure zero busy time on a tiny --quick run,
+        // which mops_for saturates to infinity; fall back to the unsharded
+        // wall rate so every reported point stays finite (the JSON snapshot
+        // must never contain `inf`).
+        let raw_scaled = mops_for(out.items, out.critical_path_secs());
+        let scaled_mops = if raw_scaled.is_finite() {
+            raw_scaled
+        } else {
+            mops_for(out.items, single_secs)
+        };
+        if shards == 1 {
+            one_shard_scaled = scaled_mops;
         }
+        let speedup = scaled_mops / one_shard_scaled;
+        let max_abs_diff = probes
+            .iter()
+            .map(|&item| out.merged.estimate(item).abs_diff(single.estimate(item)))
+            .max()
+            .unwrap_or(0);
+        csv_row(&[
+            PARTITION.into(),
+            format!("{shards}"),
+            fmt(wall_mops),
+            fmt(scaled_mops),
+            fmt(speedup),
+            format!("{max_abs_diff}"),
+        ]);
+        points.push(Point {
+            shards,
+            wall_mops,
+            scaled_mops,
+            speedup,
+            max_abs_diff,
+        });
     }
 
     if let Some(path) = &args.json {
@@ -139,7 +138,7 @@ fn main() {
         for (i, p) in points.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"partition\": \"{}\", \"shards\": {}, \"wall_mops\": {:.3}, \"scaled_mops\": {:.3}, \"speedup\": {:.3}, \"max_abs_diff\": {}}}{}\n",
-                p.partition,
+                PARTITION,
                 p.shards,
                 finite(p.wall_mops),
                 finite(p.scaled_mops),

@@ -4,7 +4,7 @@
 //! `k` once it has applied `n` items*, *stall shard `k` for `d` before its
 //! next batch*, *drop shard `k`'s next drain acknowledgement*.  The plan is
 //! threaded into the worker loops via
-//! [`SupervisorConfig::chaos`](crate::SupervisorConfig::chaos) and checked
+//! [`PipelineConfig::chaos`](crate::PipelineConfig::chaos) and checked
 //! once per command on the worker side — zero cost when no plan is
 //! configured, and entirely absent from production call sites.
 //!

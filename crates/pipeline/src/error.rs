@@ -1,11 +1,16 @@
-//! Typed errors for the pipeline's ingest, snapshot and drain paths.
+//! Typed errors for the pipeline's snapshot and drain paths.
 //!
 //! Before the fault-tolerance layer, every liveness assumption on these
 //! paths was an `expect()`: a single shard-worker panic poisoned the whole
-//! pipeline at the next query.  The `try_*` variants now return a
-//! [`PipelineError`] instead, and the panicking wrappers remain only as
-//! documented conveniences for callers that genuinely cannot proceed
-//! (their panic sites carry `PANIC-OK` justifications).
+//! pipeline at the next query.  Snapshots now return a [`PipelineError`]
+//! when no view can be served, and [`try_drain`] when its barrier misses
+//! a deadline.  Ingest never fails: a batch that cannot be delivered is
+//! counted as lost, and [`finish`] reports lost items and dead shards in
+//! its [`PipelineOutput`] instead.
+//!
+//! [`try_drain`]: crate::ShardedPipeline::try_drain
+//! [`finish`]: crate::ShardedPipeline::finish
+//! [`PipelineOutput`]: crate::PipelineOutput
 
 use std::fmt;
 use std::time::Duration;
@@ -22,20 +27,13 @@ pub enum PipelineError {
     /// The pipeline has been finished (or dropped): the workers are gone by
     /// design and no further operation can succeed.
     Finished,
-    /// The addressed shard's worker is dead (it panicked) and the recovery
-    /// policy did not bring it back.  Returned by single-shard operations;
-    /// whole-pipeline operations degrade instead.
-    ShardDown {
-        /// Index of the dead shard.
-        shard: usize,
-    },
-    /// Every shard worker is dead: there is nothing left to merge a view
-    /// from or to drain.
+    /// Every live shard worker is dead: there is nothing left to merge a
+    /// view from.
     AllShardsDown,
-    /// A bounded wait (dispatch backpressure, a snapshot or drain reply,
-    /// a rescale's seal window) hit its deadline.
+    /// A bounded wait (a snapshot or drain reply, a rescale's seal window)
+    /// hit its deadline.
     Timeout {
-        /// Which edge timed out (e.g. `"dispatch"`, `"drain"`).
+        /// Which edge timed out (e.g. `"snapshot"`, `"drain"`).
         operation: &'static str,
         /// How long the operation waited before giving up.
         waited: Duration,
@@ -46,9 +44,6 @@ impl fmt::Display for PipelineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PipelineError::Finished => write!(f, "pipeline already finished"),
-            PipelineError::ShardDown { shard } => {
-                write!(f, "shard {shard}'s worker is down (panicked)")
-            }
             PipelineError::AllShardsDown => write!(f, "every shard worker is down"),
             PipelineError::Timeout { operation, waited } => {
                 write!(f, "{operation} timed out after {waited:?}")
@@ -65,10 +60,6 @@ mod tests {
 
     #[test]
     fn displays_name_the_failure() {
-        assert_eq!(
-            PipelineError::ShardDown { shard: 3 }.to_string(),
-            "shard 3's worker is down (panicked)"
-        );
         assert!(PipelineError::Timeout {
             operation: "drain",
             waited: Duration::from_millis(250),

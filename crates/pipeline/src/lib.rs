@@ -22,16 +22,12 @@
 //!   [`ShardedPipeline::finish`] merges the shard summaries into one
 //!   [`PipelineOutput`] whose `merged` summary answers queries for the
 //!   whole stream.
-//! * [`Partition::ByKey`] routes every key to one shard via an independent
-//!   router hash, so each shard holds its keys' *entire* sub-stream.  With
-//!   sum-merge rows the merged view is then **identical** to the sketch a
-//!   single thread would have built — sharding is exact, not approximate.
-//! * [`Partition::RoundRobin`] (the "replicated" mode) deals items to
-//!   shards in turn, so every shard sees an arbitrary slice of the stream
-//!   and correctness comes entirely from the counter-wise union via
-//!   [`salsa_core::merge::RowMerge`].  Sum-merge rows again reproduce the
-//!   unsharded sketch exactly; max-merge rows give a never-underestimating
-//!   over-approximation (Theorem V.2).
+//! * Routing is **by key**: the producer hashes every key with an
+//!   independent router hash (seeded with [`DEFAULT_ROUTER_SEED`]), so each
+//!   shard holds its keys' *entire* sub-stream.  With sum-merge rows the
+//!   merged view is then **identical** to the sketch a single thread would
+//!   have built — sharding is exact, not approximate; max-merge rows give
+//!   a never-underestimating over-approximation (Theorem V.2).
 //! * The pipeline serves queries **while the stream is still flowing**:
 //!   [`ShardedPipeline::snapshot`] assembles an epoch-stamped
 //!   [`SnapshotView`] by merging per-shard sketch clones, and
@@ -56,12 +52,14 @@
 //! * The pipeline is **fault-tolerant**: worker panics are caught and
 //!   published to a [`ShardHealth`] board instead of poisoning the
 //!   pipeline, queries degrade to the surviving shards (every
-//!   [`SnapshotView`] carries [`CoverageMeta`] naming the gap), a
-//!   [`SupervisorConfig`] picks the [`Recovery`] policy (degrade, or
-//!   restart dead shards with empty sketches) and bounds every blocking
-//!   edge with deadlines, `try_*` variants report failures as typed
-//!   [`PipelineError`]s, and a [`chaos`] fault-injection module scripts
-//!   worker failures deterministically for tests and benches.
+//!   [`SnapshotView`] carries [`CoverageMeta`] naming the gap, and a
+//!   [`PipelineOutput`] its lost items), the [`PipelineConfig`] picks the
+//!   [`Recovery`] policy (degrade, or restart dead shards with empty
+//!   sketches) and bounds every blocking edge with deadlines, what no
+//!   degradation can absorb (no shard left to serve a view, an exhausted
+//!   deadline) surfaces as a typed [`PipelineError`], and a [`chaos`]
+//!   fault-injection module scripts worker failures deterministically for
+//!   tests and benches.
 //!
 //! ```
 //! use salsa_pipeline::{run_sharded, PipelineConfig};
@@ -89,7 +87,9 @@
 //! let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make);
 //! pipeline.extend(&(0..5_000u64).map(|i| i % 100).collect::<Vec<_>>());
 //!
-//! let view = pipeline.snapshot(); // consistent, epoch-stamped, non-blocking
+//! // Consistent, epoch-stamped, non-blocking; an error only when no view
+//! // can be served at all.
+//! let view = pipeline.snapshot().expect("a healthy pipeline serves views");
 //! assert_eq!(view.epoch(), 5_000);
 //! assert_eq!(view.estimate(42), 50);
 //! assert_eq!(view.top_k(3, 0..100).len(), 3);
@@ -110,8 +110,9 @@
 //! let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make);
 //! pipeline.extend(&(0..4_000u64).map(|i| i % 64).collect::<Vec<_>>());
 //!
-//! let view = pipeline.snapshot();
-//! let entropy = view.entropy(); // ≈ log2(64) for this uniform stream
+//! let view = pipeline.snapshot().expect("a healthy pipeline serves views");
+//! // ≈ log2(64) for this uniform stream; `None` would mean the estimate failed.
+//! let entropy = view.entropy().expect("a non-negative estimate");
 //! assert!((entropy - 6.0).abs() < 0.5);
 //! let _out = pipeline.finish();
 //! ```
@@ -128,10 +129,14 @@ pub mod snapshot;
 pub mod supervisor;
 pub mod sync;
 
+use std::time::Duration;
+
+use crate::sync::Arc;
+
 pub use chaos::{silence_worker_panics, FaultKind, FaultPlan, INJECTED_PANIC};
 pub use error::PipelineError;
 pub use live::{LiveHandle, SnapshotSource};
-pub use policy::{LoadMonitor, LoadSnapshot, Manual, ScalingPolicy, Threshold};
+pub use policy::{LoadMonitor, LoadSnapshot, ScalingPolicy, Threshold};
 pub use salsa_sketches::helper::MergeHelper;
 pub use salsa_sketches::summary::{
     DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary, Tracked, TrackedQueries,
@@ -141,7 +146,7 @@ pub use sharded::{
     run_sharded, PipelineOutput, RescaleEvent, ShardLoad, ShardStats, ShardedPipeline,
 };
 pub use snapshot::{CoverageMeta, SnapshotView};
-pub use supervisor::{Backoff, Recovery, ShardHealth, ShardState, SupervisorConfig};
+pub use supervisor::{Recovery, ShardHealth, ShardState};
 
 /// Default seed of the router hash.  It is fixed (and distinct from typical
 /// sketch seeds) so that routing is independent of the row hash functions:
@@ -149,52 +154,38 @@ pub use supervisor::{Backoff, Recovery, ShardHealth, ShardState, SupervisorConfi
 /// of each row's buckets.
 pub const DEFAULT_ROUTER_SEED: u64 = 0x5A15_A0DE_57A6_ED01;
 
-/// How the pipeline assigns stream items to worker shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Partition {
-    /// Route each key to one shard via the router hash, so a key's entire
-    /// sub-stream lands on a single shard.  With sum-merge rows the merged
-    /// global view is byte-identical to the unsharded sketch.
-    #[default]
-    ByKey,
-    /// Deal items to shards round-robin (the "replicated" mode): every
-    /// shard sees an arbitrary slice of the stream and the global view is
-    /// the counter-wise union of all shards.  Load is perfectly balanced
-    /// even for skewed key distributions; sum-merge rows still reproduce
-    /// the unsharded sketch exactly.
-    RoundRobin,
-}
-
-impl Partition {
-    /// A short name used in experiment output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Partition::ByKey => "by_key",
-            Partition::RoundRobin => "round_robin",
-        }
-    }
-}
-
-/// The shard that owns a key with router hash `hash` under
-/// [`Partition::ByKey`]: `hash % shards`.  The producer's routing
-/// ([`ShardedPipeline::shard_of`] per item, [`ShardedPipeline::extend`]
-/// over digests hashed a chunk at a time) is its only user.
+/// The shard that owns a key with router hash `hash`: `hash % shards`.
+/// The producer's routing ([`ShardedPipeline::shard_of`] per item,
+/// [`ShardedPipeline::extend`] over digests hashed a chunk at a time) is
+/// its only user.
 #[inline]
 pub(crate) fn by_key_shard(hash: u64, shards: usize) -> usize {
     (hash % shards as u64) as usize
 }
 
-/// Configuration of a [`ShardedPipeline`].
-#[derive(Debug, Clone, Copy)]
+/// Configuration of a [`ShardedPipeline`]: its shape (shards, batch size)
+/// and its fault tolerance (what to do about a dead worker, how long each
+/// blocking edge may wait, and an optional fault-injection plan).
+#[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Number of worker shards; each runs on its own thread.
     pub shards: usize,
     /// Items buffered per shard before a batch is dispatched to its worker.
     pub batch_size: usize,
-    /// How items are assigned to shards.
-    pub partition: Partition,
-    /// Seed of the router hash (must be independent of the sketch seeds).
-    pub router_seed: u64,
+    /// What to do when a shard worker dies (default: [`Recovery::Degrade`]).
+    pub recovery: Recovery,
+    /// How long a snapshot or drain waits for each shard's reply before the
+    /// call reports a timeout, and how long a live-handle query retries
+    /// through a rescale's seal window.
+    pub reply_timeout: Duration,
+    /// Bound on a dispatch blocked by backpressure.  `None` (the default)
+    /// blocks indefinitely: full channels are flow control, not a fault.
+    /// Set a bound when a stalled worker must not stall the producer (the
+    /// batch is then counted as dropped).
+    pub dispatch_timeout: Option<Duration>,
+    /// Fault-injection plan threaded into the worker loops; `None` outside
+    /// chaos tests and benches.
+    pub chaos: Option<Arc<FaultPlan>>,
 }
 
 impl PipelineConfig {
@@ -203,16 +194,18 @@ impl PipelineConfig {
     pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
     /// A configuration with `shards` workers, the default batch size,
-    /// [`Partition::ByKey`] routing and the default router seed — the entry
-    /// point of the builder:
+    /// [`Recovery::Degrade`], 30 s reply deadlines (unreachable in healthy
+    /// runs, small enough that a wedged worker cannot hang a caller
+    /// forever) and unbounded dispatch — the entry point of the builder:
     ///
     /// ```
-    /// use salsa_pipeline::{Partition, PipelineConfig};
+    /// use std::time::Duration;
+    /// use salsa_pipeline::{PipelineConfig, Recovery};
     ///
     /// let config = PipelineConfig::new(4)
     ///     .batch_size(256)
-    ///     .partition(Partition::RoundRobin)
-    ///     .router_seed(0xFEED);
+    ///     .recovery(Recovery::Restart { max_restarts: 2 })
+    ///     .reply_timeout(Duration::from_millis(100));
     /// assert_eq!(config.shards, 4);
     /// assert_eq!(config.batch_size, 256);
     /// ```
@@ -224,8 +217,10 @@ impl PipelineConfig {
         Self {
             shards: shards.max(1),
             batch_size: Self::DEFAULT_BATCH_SIZE,
-            partition: Partition::default(),
-            router_seed: DEFAULT_ROUTER_SEED,
+            recovery: Recovery::default(),
+            reply_timeout: Duration::from_secs(30),
+            dispatch_timeout: None,
+            chaos: None,
         }
     }
 
@@ -250,19 +245,28 @@ impl PipelineConfig {
         self
     }
 
-    /// Sets the partitioning mode.
-    pub fn partition(mut self, partition: Partition) -> Self {
-        self.partition = partition;
+    /// Sets the recovery policy.
+    pub fn recovery(mut self, recovery: Recovery) -> Self {
+        self.recovery = recovery;
         self
     }
 
-    /// Sets the router-hash seed.
-    ///
-    /// Keep it independent of the sketch seeds (see
-    /// [`DEFAULT_ROUTER_SEED`]); it mainly exists so tests and experiments
-    /// can exercise different routings.
-    pub fn router_seed(mut self, router_seed: u64) -> Self {
-        self.router_seed = router_seed;
+    /// Sets the per-shard reply deadline of snapshots and drains (see the
+    /// field docs).
+    pub fn reply_timeout(mut self, timeout: Duration) -> Self {
+        self.reply_timeout = timeout;
+        self
+    }
+
+    /// Bounds dispatch under backpressure (see the field docs).
+    pub fn dispatch_timeout(mut self, timeout: Duration) -> Self {
+        self.dispatch_timeout = Some(timeout);
+        self
+    }
+
+    /// Threads a fault-injection plan into the worker loops.
+    pub fn chaos(mut self, plan: Arc<FaultPlan>) -> Self {
+        self.chaos = Some(plan);
         self
     }
 }

@@ -34,7 +34,7 @@ use salsa_sketches::helper::MergeHelper;
 use crate::error::PipelineError;
 use crate::sharded::{Command, ShardProgress, ShardSnapshot};
 use crate::snapshot::{CoverageMeta, SnapshotView};
-use crate::supervisor::{Backoff, ShardHealth, ShardState, SupervisorConfig};
+use crate::supervisor::{next_pause, ShardHealth, ShardState, FIRST_PAUSE};
 use crate::SnapshotSummary;
 
 /// The live generation's workers as handles reach them: command senders,
@@ -153,24 +153,25 @@ impl<S> SnapshotArena<S> {
 /// Obtain one with [`ShardedPipeline::live_handle`].  Every query resolves
 /// the live generation afresh, so a handle keeps serving across shard
 /// restarts and rescales: a query that races a rescale's drain-and-seal
-/// window retries against the freshly published generation, with the
-/// [`SupervisorConfig::backoff`] schedule, for at most
-/// [`SupervisorConfig::snapshot_timeout`].  Every query returns `None` once
+/// window retries against the freshly published generation, sleeping
+/// between attempts, for at most [`PipelineConfig::reply_timeout`].  Every
+/// snapshot reports [`PipelineError::Finished`] once
 /// [`ShardedPipeline::finish`] has shut the workers down (or the pipeline
 /// was dropped), so a query thread can simply loop until its handle goes
-/// dark.  While shard workers are *dead* (panicked) rather than stopped,
-/// queries keep working against the survivors: views carry coverage
-/// metadata naming the gap, and [`LiveHandle::try_snapshot`] reports the
-/// failure modes as typed [`PipelineError`]s.
+/// dark.  While shard workers are *dead*
+/// (panicked) rather than stopped, queries keep working against the
+/// survivors: views carry coverage metadata naming the gap, and
+/// [`LiveHandle::snapshot`] reports the states where no view can be served
+/// as typed [`PipelineError`]s.
 ///
 /// [`ShardedPipeline`]: crate::ShardedPipeline
 /// [`ShardedPipeline::live_handle`]: crate::ShardedPipeline::live_handle
 /// [`ShardedPipeline::finish`]: crate::ShardedPipeline::finish
+/// [`PipelineConfig::reply_timeout`]: crate::PipelineConfig::reply_timeout
 pub struct LiveHandle<S: SnapshotSummary> {
     published: Arc<RwLock<Published<S>>>,
     counters: Arc<HealthCounters>,
-    snapshot_timeout: Duration,
-    backoff: Backoff,
+    reply_timeout: Duration,
     /// Spare snapshot buffers, recycled across this handle's snapshots.
     arena: SnapshotArena<S>,
     /// Reusable merge scratch for this handle's snapshot folds.
@@ -182,8 +183,7 @@ impl<S: SnapshotSummary> Clone for LiveHandle<S> {
         Self {
             published: Arc::clone(&self.published),
             counters: Arc::clone(&self.counters),
-            snapshot_timeout: self.snapshot_timeout,
-            backoff: self.backoff,
+            reply_timeout: self.reply_timeout,
             // Fresh (empty) scratch: arenas and helpers are per-handle so
             // clones on different threads never contend on them.
             arena: SnapshotArena::new(),
@@ -193,12 +193,15 @@ impl<S: SnapshotSummary> Clone for LiveHandle<S> {
 }
 
 impl<S: SnapshotSummary> LiveHandle<S> {
-    pub(crate) fn new(published: Arc<RwLock<Published<S>>>, supervisor: &SupervisorConfig) -> Self {
+    pub(crate) fn new(
+        published: Arc<RwLock<Published<S>>>,
+        counters: Arc<HealthCounters>,
+        reply_timeout: Duration,
+    ) -> Self {
         Self {
             published,
-            counters: Arc::clone(&supervisor.counters),
-            snapshot_timeout: supervisor.snapshot_timeout,
-            backoff: supervisor.backoff,
+            counters,
+            reply_timeout,
             arena: SnapshotArena::new(),
             helper: Mutex::new(MergeHelper::new()),
         }
@@ -240,7 +243,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
         mut attempt: impl FnMut(&Resolved<S>) -> Result<SnapshotView<S>, PipelineError>,
     ) -> Result<SnapshotView<S>, PipelineError> {
         let started = Instant::now();
-        let mut pause = self.backoff.initial;
+        let mut pause = FIRST_PAUSE;
         loop {
             let resolved = self.resolve()?;
             match attempt(&resolved) {
@@ -261,7 +264,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
             // waiting query thread, competing with the very drain being
             // waited on.  Past the deadline the pipeline is stuck, not
             // sealing.
-            if started.elapsed() >= self.snapshot_timeout {
+            if started.elapsed() >= self.reply_timeout {
                 self.counters.timeouts.incr();
                 return Err(PipelineError::Timeout {
                     operation: "seal-window retry",
@@ -269,7 +272,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
                 });
             }
             std::thread::sleep(pause);
-            pause = self.backoff.next(pause);
+            pause = next_pause(pause);
         }
     }
 
@@ -313,22 +316,9 @@ impl<S: SnapshotSummary> LiveHandle<S> {
                 self.counters.timeouts.incr();
                 Err(PipelineError::Timeout {
                     operation: "snapshot",
-                    waited: self.snapshot_timeout,
+                    waited: self.reply_timeout,
                 })
             }
-        }
-    }
-
-    /// Classifies a shard whose channel turned out to be disconnected: a
-    /// cleanly stopped worker means its generation ended (sealed or
-    /// finished); anything else is a dead shard.  The worker publishes its
-    /// fate *before* the channel disconnects, so this read is never ahead
-    /// of the failure it explains.
-    fn shard_gone(live: &WorkerSet<S>, shard: usize) -> PipelineError {
-        if live.health.state(shard) == ShardState::Stopped {
-            PipelineError::Finished
-        } else {
-            PipelineError::ShardDown { shard }
         }
     }
 
@@ -345,15 +335,20 @@ impl<S: SnapshotSummary> LiveHandle<S> {
         // dominant per-snapshot cost (the summary copies) is recycled
         // through the arena instead.
         let requests: Vec<_> = live.senders.iter().map(|tx| self.request(tx)).collect();
-        let deadline = issued + self.snapshot_timeout;
+        let deadline = issued + self.reply_timeout;
         let mut epoch = resolved.sealed_acknowledged;
         let mut uncovered = resolved.sealed_uncovered;
+        let mut shards_ok = 0usize;
         let mut shards_failed = 0usize;
-        let mut shards = Vec::with_capacity(requests.len());
         let mut merged: Option<S> = None;
         for (shard, request) in requests.into_iter().enumerate() {
             let Some(reply) = self.reply(request, deadline)? else {
-                if let PipelineError::Finished = Self::shard_gone(live, shard) {
+                // A disconnected channel: a cleanly stopped worker means its
+                // generation ended (sealed or finished); anything else is a
+                // dead shard.  The worker publishes its fate *before* the
+                // channel disconnects, so this read is never ahead of the
+                // failure it explains.
+                if live.health.state(shard) == ShardState::Stopped {
                     return Err(PipelineError::Finished);
                 }
                 // A dead shard's published count is frozen; everything it
@@ -368,7 +363,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
             // prior incarnations acknowledged is uncovered.
             epoch += reply.applied_base + reply.stats.items;
             uncovered += reply.applied_base;
-            shards.push(reply.stats);
+            shards_ok += 1;
             match merged.as_mut() {
                 None => merged = Some(reply.sketch),
                 Some(m) => {
@@ -392,7 +387,7 @@ impl<S: SnapshotSummary> LiveHandle<S> {
             merged.merge_with_helper(sealed, &mut helper);
         }
         let coverage = CoverageMeta {
-            shards_ok: shards.len(),
+            shards_ok,
             shards_failed,
             uncovered_items: uncovered,
         };
@@ -404,7 +399,6 @@ impl<S: SnapshotSummary> LiveHandle<S> {
             epoch,
             resolved.generation,
             coverage,
-            shards,
             issued,
         ))
     }
@@ -438,20 +432,11 @@ impl<S: SnapshotSummary> LiveHandle<S> {
     /// * [`PipelineError::Finished`] — the pipeline shut down cleanly;
     /// * [`PipelineError::AllShardsDown`] — every live worker died;
     /// * [`PipelineError::Timeout`] — a shard's reply missed the configured
-    ///   [`snapshot_timeout`](crate::SupervisorConfig::snapshot_timeout)
-    ///   (a wedged worker, not a dead one), or a seal window outlasted it.
+    ///   [`reply_timeout`](crate::PipelineConfig::reply_timeout) (a wedged
+    ///   worker, not a dead one), or a seal window outlasted it.
     #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
-    pub fn try_snapshot(&self) -> Result<SnapshotView<S>, PipelineError> {
+    pub fn snapshot(&self) -> Result<SnapshotView<S>, PipelineError> {
         self.retrying(|resolved| self.assemble(resolved))
-    }
-
-    /// [`LiveHandle::try_snapshot`] flattened to an `Option`: `None` once
-    /// the pipeline has finished — or when no view can be assembled at all
-    /// (every worker dead, or a deadline expired).  Degraded views are
-    /// `Some`; check [`SnapshotView::is_degraded`].
-    #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
-    pub fn snapshot(&self) -> Option<SnapshotView<S>> {
-        self.try_snapshot().ok()
     }
 }
 
@@ -461,7 +446,8 @@ impl<S: SnapshotSummary> LiveHandle<S> {
 /// `salsa-serve`'s `Coalescer`, the view cache every served query passes
 /// through, is generic over this.
 pub trait SnapshotSource<S> {
-    /// A fresh consistent view, or `None` once the pipeline has finished.
+    /// A fresh consistent view, or `None` when none can be served (the
+    /// pipeline has finished, or [`LiveHandle::snapshot`]'s other errors).
     fn snapshot(&self) -> Option<SnapshotView<S>>;
 
     /// Total updates acknowledged by the pipeline right now; comparing it
@@ -478,7 +464,7 @@ pub trait SnapshotSource<S> {
 
 impl<S: SnapshotSummary> SnapshotSource<S> for LiveHandle<S> {
     fn snapshot(&self) -> Option<SnapshotView<S>> {
-        LiveHandle::snapshot(self)
+        LiveHandle::snapshot(self).ok()
     }
 
     fn acknowledged(&self) -> u64 {

@@ -7,9 +7,11 @@
 //! publishes the signals to a shared
 //! [`salsa_metrics::LoadGauges`] so exporters and tests can watch
 //! the control plane without touching it.  A [`ScalingPolicy`] then maps
-//! snapshots to target shard counts; the shipped implementations are
+//! snapshots to target shard counts; the shipped implementation is
 //! [`Threshold`] (high/low-watermark with hysteresis and cooldown, so the
-//! controller doesn't flap) and [`Manual`] (externally chosen target).
+//! controller doesn't flap).  An externally chosen target (an operator
+//! command, a schedule, a test) needs no policy: call
+//! [`ShardedPipeline::rescale`] directly.
 //!
 //! The split matters: policies are pure, deterministic functions of the
 //! observed load, so they unit-test without threads, and swapping the
@@ -290,38 +292,6 @@ impl ScalingPolicy for Threshold {
     }
 }
 
-/// A policy that always requests an externally chosen target — the "scale
-/// to N now" control knob (an operator command, a schedule, a test).
-#[derive(Debug, Clone, Copy)]
-pub struct Manual {
-    target: usize,
-}
-
-impl Manual {
-    /// A policy requesting `target` shards (clamped to at least 1).
-    pub fn new(target: usize) -> Self {
-        Self {
-            target: target.max(1),
-        }
-    }
-
-    /// Changes the requested target (clamped to at least 1).
-    pub fn set_target(&mut self, target: usize) {
-        self.target = target.max(1);
-    }
-
-    /// The currently requested target.
-    pub fn target(&self) -> usize {
-        self.target
-    }
-}
-
-impl ScalingPolicy for Manual {
-    fn decide(&mut self, _load: &LoadSnapshot) -> Option<usize> {
-        Some(self.target)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,14 +367,5 @@ mod tests {
             ..load(4, 0, 0.0)
         };
         assert_eq!(policy.decide(&first), None);
-    }
-
-    #[test]
-    fn manual_requests_its_target() {
-        let mut policy = Manual::new(0);
-        assert_eq!(policy.target(), 1, "zero target clamps to one");
-        policy.set_target(6);
-        assert_eq!(policy.decide(&load(2, 0, 0.0)), Some(6));
-        assert_eq!(policy.decide(&load(6, 500, 1.0)), Some(6), "stateless");
     }
 }

@@ -40,13 +40,13 @@
 //! panicking summary kills that worker only, and the thread's last act
 //! before its channel disconnects is to publish the death into the shared
 //! [`ShardHealth`] board.  The producer reacts per its
-//! [`SupervisorConfig`]'s [`Recovery`] policy — degrade (keep serving from
-//! the survivors, with coverage metadata on every view and typed
-//! [`PipelineError`]s on the single-shard paths) or restart the shard with
-//! an empty sketch from the pipeline's factory.  Snapshot and drain replies
-//! wait at most a configured deadline; dispatch under backpressure can be
+//! [`PipelineConfig::recovery`] policy — degrade (keep serving from the
+//! survivors, with coverage metadata on every view and every lost batch
+//! counted) or restart the shard with an empty sketch from the pipeline's
+//! factory.  Snapshot and drain replies wait at most
+//! [`PipelineConfig::reply_timeout`]; dispatch under backpressure can be
 //! bounded too.  A [`FaultPlan`] threaded through
-//! [`SupervisorConfig::chaos`] scripts these failures deterministically for
+//! [`PipelineConfig::chaos`] scripts these failures deterministically for
 //! the chaos tests and benches.
 
 use std::panic::AssertUnwindSafe;
@@ -66,8 +66,8 @@ use crate::error::PipelineError;
 use crate::live::{LiveHandle, Published, WorkerSet};
 use crate::policy::{LoadMonitor, ScalingPolicy};
 use crate::snapshot::SnapshotView;
-use crate::supervisor::{Recovery, ShardHealth, ShardState, SupervisorConfig};
-use crate::{by_key_shard, Partition, PipelineConfig, SnapshotSummary};
+use crate::supervisor::{next_pause, Recovery, ShardHealth, ShardState, FIRST_PAUSE};
+use crate::{by_key_shard, PipelineConfig, SnapshotSummary, DEFAULT_ROUTER_SEED};
 
 /// How many commands may queue per worker before `push` applies
 /// backpressure.  Small on purpose: it bounds memory, keeps producers from
@@ -465,16 +465,13 @@ enum SendOutcome<S> {
 /// A sharded, batched ingestion pipeline over any [`SnapshotSummary`],
 /// whose shard count can change while it ingests.
 ///
-/// Build one with [`ShardedPipeline::new`] (or
-/// [`ShardedPipeline::supervised`] for an explicit fault-tolerance
-/// configuration), feed it with [`ShardedPipeline::push`] /
-/// [`ShardedPipeline::extend`], query it *while it runs* via
-/// [`ShardedPipeline::snapshot`] or a cloned-off
+/// Build one with [`ShardedPipeline::new`], feed it with
+/// [`ShardedPipeline::push`] / [`ShardedPipeline::extend`], query it
+/// *while it runs* via [`ShardedPipeline::snapshot`] or a cloned-off
 /// [`ShardedPipeline::live_handle`], change its shard count with
 /// [`ShardedPipeline::rescale`] (or [`ShardedPipeline::autoscale`]), and
 /// call [`ShardedPipeline::finish`] to obtain the merged global view.  See
-/// the crate docs for the partitioning modes and their exactness
-/// guarantees.
+/// the crate docs for by-key routing and its exactness guarantees.
 ///
 /// The pipeline keeps its summary factory for its whole life (rescales and
 /// restarts draw from it), so `'f` is the lifetime of whatever the factory
@@ -489,9 +486,10 @@ pub struct ShardedPipeline<'f, S: SnapshotSummary> {
     /// Per shard, the applied items of dead incarnations already counted
     /// into `lost_items`, so repeated detection of one death adds nothing.
     settled: Vec<u64>,
-    next_shard: usize,
     pushed: u64,
-    supervisor: SupervisorConfig,
+    /// Supervision event counters (panics, restarts, timeouts, drops),
+    /// owned by this pipeline and shared with its workers and handles.
+    counters: Arc<HealthCounters>,
     health: Arc<ShardHealth>,
     /// Builds every shard summary: each generation's, and each restart's.
     factory: Box<dyn FnMut(usize) -> S + Send + 'f>,
@@ -508,7 +506,8 @@ impl<S: SnapshotSummary> Drop for ShardedPipeline<'_, S> {
     /// Darkens outstanding handles if the pipeline is dropped without
     /// [`ShardedPipeline::finish`]: the workers exit once their channels
     /// close, and without this a concurrent [`LiveHandle::snapshot`] would
-    /// retry against them until its deadline instead of returning `None`.
+    /// retry against them until its deadline instead of reporting
+    /// [`PipelineError::Finished`].
     /// The live generation's applied items are folded into the sealed
     /// count first, so [`LiveHandle::acknowledged`] never moves backwards.
     /// (After [`ShardedPipeline::finish`] this is a no-op.)
@@ -532,19 +531,9 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// but [`StreamSummary::merge_from`](crate::StreamSummary::merge_from)
     /// enforces it when shard summaries are folded together.
     ///
-    /// The pipeline is supervised under [`SupervisorConfig::default`]:
-    /// worker panics degrade rather than poison, but nothing restarts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.shards == 0` or `config.batch_size == 0`.
-    pub fn new(config: &PipelineConfig, factory: impl FnMut(usize) -> S + Send + 'f) -> Self {
-        Self::supervised(config, SupervisorConfig::default(), factory)
-    }
-
-    /// Creates the pipeline with an explicit fault-tolerance configuration,
-    /// applied to every generation's workers.  Under
-    /// [`Recovery::Restart`] a dead shard respawns with a fresh, empty
+    /// The config's fault-tolerance settings apply to every generation's
+    /// workers: by default worker panics degrade rather than poison, and
+    /// under [`Recovery::Restart`] a dead shard respawns with a fresh, empty
     /// sketch from `factory` (the dead incarnation's items are counted as
     /// lost — see [`ShardedPipeline::lost_items`] and the coverage metadata
     /// on every [`SnapshotView`]).
@@ -552,24 +541,19 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// # Panics
     ///
     /// Panics if `config.shards == 0` or `config.batch_size == 0`.
-    pub fn supervised(
-        config: &PipelineConfig,
-        supervisor: SupervisorConfig,
-        factory: impl FnMut(usize) -> S + Send + 'f,
-    ) -> Self {
+    pub fn new(config: &PipelineConfig, factory: impl FnMut(usize) -> S + Send + 'f) -> Self {
         assert!(config.shards > 0, "a pipeline needs at least one shard");
         assert!(config.batch_size > 0, "batch size must be positive");
         let mut pipeline = Self {
-            config: *config,
-            router: BobHash::new(config.router_seed),
+            config: config.clone(),
+            router: BobHash::new(DEFAULT_ROUTER_SEED),
             buffers: Vec::new(),
             workers: Vec::new(),
             progress: Vec::new(),
             dispatched: Vec::new(),
             settled: Vec::new(),
-            next_shard: 0,
             pushed: 0,
-            supervisor,
+            counters: Arc::new(HealthCounters::new()),
             health: Arc::new(ShardHealth::new(0)),
             factory: Box::new(factory),
             lost_items: 0,
@@ -609,7 +593,6 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
             .collect();
         self.dispatched = vec![0; shards];
         self.settled = vec![0; shards];
-        self.next_shard = 0;
     }
 
     fn seat(&self, shard: usize, applied_base: u64, busy_nanos_base: u64) -> WorkerSeat {
@@ -617,8 +600,8 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
             shard,
             progress: Arc::clone(&self.progress[shard]),
             health: Arc::clone(&self.health),
-            counters: Arc::clone(&self.supervisor.counters),
-            chaos: self.supervisor.chaos.clone(),
+            counters: Arc::clone(&self.counters),
+            chaos: self.config.chaos.clone(),
             applied_base,
             busy_nanos_base,
         }
@@ -678,10 +661,11 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         &self.health
     }
 
-    /// The supervision event counters (panics, restarts, timeouts, drops).
+    /// The supervision event counters (panics, restarts, timeouts, drops)
+    /// of this pipeline, its workers and its handles.
     #[inline]
     pub fn counters(&self) -> &Arc<HealthCounters> {
-        &self.supervisor.counters
+        &self.counters
     }
 
     /// Items pushed but known to be missing from any future view: dropped
@@ -692,17 +676,11 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         self.lost_items
     }
 
-    /// The shard an item is routed to under the current partitioning mode.
-    ///
-    /// For [`Partition::RoundRobin`] this is the shard the *next* pushed
-    /// item would go to; for [`Partition::ByKey`] it is a pure function of
-    /// the key and the current shard count.
+    /// The shard that owns `item`: a pure function of the key and the
+    /// current shard count.
     #[inline]
     pub fn shard_of(&self, item: u64) -> usize {
-        match self.config.partition {
-            Partition::ByKey => by_key_shard(self.router.hash_u64(item), self.workers.len()),
-            Partition::RoundRobin => self.next_shard,
-        }
+        by_key_shard(self.router.hash_u64(item), self.workers.len())
     }
 
     /// Feeds one item into the pipeline, dispatching a batch to the owning
@@ -711,47 +689,25 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// Infallible by design: a batch that cannot be delivered (dead shard,
     /// bounded dispatch timed out) is counted into
     /// [`ShardedPipeline::lost_items`] and the health counters instead of
-    /// failing the push.  Use [`ShardedPipeline::try_push`] to observe
-    /// those losses as typed errors.
+    /// failing the push.
     #[inline]
     pub fn push(&mut self, item: u64) {
-        let _ = self.try_push(item);
-    }
-
-    /// Like [`ShardedPipeline::push`], but reports a dispatch failure for
-    /// the batch this push completed: the batch's shard was down (and the
-    /// recovery policy did not bring it back), or a bounded dispatch hit
-    /// its deadline.  The failed batch is counted as lost either way — the
-    /// error is information, not a retry ticket.
-    #[inline]
-    pub fn try_push(&mut self, item: u64) -> Result<(), PipelineError> {
-        let shard = self.shard_of(item);
-        if self.config.partition == Partition::RoundRobin {
-            self.next_shard = (self.next_shard + 1) % self.workers.len();
-        }
-        self.buffer_item(shard, item)
+        self.buffer_item(self.shard_of(item), item);
     }
 
     /// Feeds a slice of items into the pipeline, exactly as pushing them
     /// one by one would.
     ///
-    /// Under [`Partition::ByKey`] the router digests of each 64 items
-    /// (`HASH_CHUNK`) are computed in one [`BobHash::hash_u64_into`] call
-    /// (AVX2 lanes where the CPU has them) into a stack buffer before the
-    /// items are routed.
+    /// The router digests of each 64 items (`HASH_CHUNK`) are computed in
+    /// one [`BobHash::hash_u64_into`] call (AVX2 lanes where the CPU has
+    /// them) into a stack buffer before the items are routed.
     pub fn extend(&mut self, items: &[u64]) {
-        if self.config.partition == Partition::RoundRobin {
-            for &item in items {
-                self.push(item);
-            }
-            return;
-        }
         let mut digests = [0u64; HASH_CHUNK];
         for chunk in items.chunks(HASH_CHUNK) {
             let digests = &mut digests[..chunk.len()];
             self.router.hash_u64_into(chunk, digests);
             for (&item, &digest) in chunk.iter().zip(digests.iter()) {
-                let _ = self.buffer_item(by_key_shard(digest, self.workers.len()), item);
+                self.buffer_item(by_key_shard(digest, self.workers.len()), item);
             }
         }
     }
@@ -760,15 +716,14 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// once it holds a full batch, swapping in a fresh one with room for
     /// the next.
     #[inline]
-    fn buffer_item(&mut self, shard: usize, item: u64) -> Result<(), PipelineError> {
+    fn buffer_item(&mut self, shard: usize, item: u64) {
         self.pushed += 1;
         let buffer = &mut self.buffers[shard];
         buffer.push(item);
         if buffer.len() >= self.config.batch_size {
             let batch = self.take_buffer(shard);
-            return self.dispatch(shard, batch);
+            self.dispatch(shard, batch);
         }
-        Ok(())
     }
 
     /// Takes `shard`'s buffer, leaving an empty one with room for a whole
@@ -786,46 +741,42 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         for shard in 0..self.buffers.len() {
             if !self.buffers[shard].is_empty() {
                 let batch = self.take_buffer(shard);
-                let _ = self.dispatch(shard, batch);
+                self.dispatch(shard, batch);
             }
         }
     }
 
     /// Delivers one batch to `shard`'s worker, applying the recovery policy
-    /// when the worker turns out to be dead.  On failure the batch is
-    /// counted as lost and a typed error describes why.
-    fn dispatch(&mut self, shard: usize, batch: Vec<u64>) -> Result<(), PipelineError> {
+    /// when the worker turns out to be dead.  A batch that cannot be
+    /// delivered is counted as lost.
+    fn dispatch(&mut self, shard: usize, batch: Vec<u64>) {
         let len = batch.len() as u64;
         // Fast path for a shard already known dead: don't touch the channel.
         if self.health.state(shard) == ShardState::Down && !self.handle_down(shard) {
             self.drop_batch(len);
-            return Err(PipelineError::ShardDown { shard });
+            return;
         }
         let mut command = Command::Ingest(batch);
         loop {
             match self.send_bounded(shard, command) {
                 Ok(()) => {
                     self.dispatched[shard] += len;
-                    return Ok(());
+                    return;
                 }
                 Err(SendOutcome::TimedOut) => {
-                    self.supervisor.counters.timeouts.incr();
+                    self.counters.timeouts.incr();
                     self.drop_batch(len);
-                    return Err(PipelineError::Timeout {
-                        operation: "dispatch",
-                        waited: self.supervisor.dispatch_timeout.unwrap_or(Duration::ZERO),
-                    });
+                    return;
                 }
                 Err(SendOutcome::Disconnected(returned)) => {
                     // The worker died since the health check above.  The
                     // death is on the board by now (it precedes the
                     // disconnect); settle the books and maybe restart.
-                    if self.handle_down(shard) {
-                        command = returned; // retry against the fresh worker
-                    } else {
+                    if !self.handle_down(shard) {
                         self.drop_batch(len);
-                        return Err(PipelineError::ShardDown { shard });
+                        return;
                     }
+                    command = returned; // retry against the fresh worker
                 }
             }
         }
@@ -836,7 +787,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// try/backoff loop against the deadline.
     fn send_bounded(&self, shard: usize, command: Command<S>) -> Result<(), SendOutcome<S>> {
         let tx = &self.workers[shard].tx;
-        match self.supervisor.dispatch_timeout {
+        match self.config.dispatch_timeout {
             // Blocks when the worker is CHANNEL_DEPTH commands behind; only
             // errors if the worker died.
             None => tx
@@ -844,7 +795,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
                 .map_err(|err| SendOutcome::Disconnected(err.0)),
             Some(timeout) => {
                 let deadline = Instant::now() + timeout;
-                let mut sleep = self.supervisor.backoff.initial;
+                let mut sleep = FIRST_PAUSE;
                 let mut command = command;
                 loop {
                     match tx.try_send(command) {
@@ -858,7 +809,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
                                 return Err(SendOutcome::TimedOut);
                             }
                             std::thread::sleep(sleep.min(deadline - now));
-                            sleep = self.supervisor.backoff.next(sleep);
+                            sleep = next_pause(sleep);
                             command = returned;
                         }
                     }
@@ -885,7 +836,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         self.settled[shard] = applied;
         if lost > 0 {
             self.lost_items += lost;
-            self.supervisor.counters.dropped_items.add(lost);
+            self.counters.dropped_items.add(lost);
         }
     }
 
@@ -895,7 +846,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// on top of the dead one's counts, so `applied` stays monotone for
     /// readers.
     fn try_restart(&mut self, shard: usize) -> bool {
-        let Recovery::Restart { max_restarts } = self.supervisor.recovery else {
+        let Recovery::Restart { max_restarts } = self.config.recovery else {
             return false;
         };
         if self.health.restarts(shard) >= max_restarts {
@@ -909,14 +860,14 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
         self.publish(|published| published.live = Some(live));
         self.health.record_restart(shard);
         self.health.mark(shard, ShardState::Up);
-        self.supervisor.counters.worker_restarts.incr();
+        self.counters.worker_restarts.incr();
         true
     }
 
     /// Applies the recovery policy to every shard currently marked down —
     /// a sweep for deaths detected by reply paths that cannot restart.
     fn recover_down_shards(&mut self) {
-        if matches!(self.supervisor.recovery, Recovery::Restart { .. }) {
+        if matches!(self.config.recovery, Recovery::Restart { .. }) {
             for shard in 0..self.workers.len() {
                 if self.health.state(shard) == ShardState::Down {
                     let _ = self.handle_down(shard);
@@ -928,7 +879,7 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// Counts a batch that could not be delivered.
     fn drop_batch(&mut self, len: u64) {
         self.lost_items += len;
-        self.supervisor.counters.dropped_items.add(len);
+        self.counters.dropped_items.add(len);
     }
 
     /// Items currently sitting in the producer-side buffers (pushed but not
@@ -959,11 +910,15 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// restarts and rescales.
     ///
     /// Handles stay valid until [`ShardedPipeline::finish`] shuts the
-    /// workers down (or the pipeline is dropped), after which their queries
-    /// return `None`; while shard workers are dead, their views degrade
-    /// (see [`LiveHandle::try_snapshot`]).
+    /// workers down (or the pipeline is dropped), after which their
+    /// snapshots report [`PipelineError::Finished`]; while shard workers are
+    /// dead, their views degrade (see [`LiveHandle::snapshot`]).
     pub fn live_handle(&self) -> LiveHandle<S> {
-        LiveHandle::new(Arc::clone(&self.published), &self.supervisor)
+        LiveHandle::new(
+            Arc::clone(&self.published),
+            Arc::clone(&self.counters),
+            self.config.reply_timeout,
+        )
     }
 
     /// Takes a consistent point-in-time snapshot of the whole pipeline
@@ -980,29 +935,14 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// does not cover.  Ingestion resumes (or rather, never stopped) after
     /// the call.
     ///
-    /// # Panics
-    ///
-    /// Panics when no view can be served at all (every worker is dead, or a
-    /// reply deadline expired) — use [`ShardedPipeline::try_snapshot`] to
-    /// handle those as typed errors.
+    /// Degraded views are `Ok` — check [`SnapshotView::is_degraded`].  An
+    /// error means no view can be served at all (see
+    /// [`LiveHandle::snapshot`]).
     #[must_use = "assembling a snapshot clones every shard's sketch; dropping it wastes that work"]
-    pub fn snapshot(&mut self) -> SnapshotView<S> {
-        self.try_snapshot()
-            // PANIC-OK: degraded views are Ok(..); Err means total failure
-            // or an exhausted deadline, which this convenience treats as
-            // the bug it is.  The try_ variant reports instead.
-            .expect("pipeline snapshot failed")
-    }
-
-    /// Like [`ShardedPipeline::snapshot`], but a dead pipeline or an
-    /// exhausted reply deadline surfaces as a [`PipelineError`] instead of
-    /// a panic.  Degraded views are still `Ok` — check
-    /// [`SnapshotView::is_degraded`].
-    #[must_use = "assembling a snapshot clones every shard's sketch; dropping it wastes that work"]
-    pub fn try_snapshot(&mut self) -> Result<SnapshotView<S>, PipelineError> {
+    pub fn snapshot(&mut self) -> Result<SnapshotView<S>, PipelineError> {
         self.flush();
         self.recover_down_shards();
-        self.live_handle().try_snapshot()
+        self.live_handle().snapshot()
     }
 
     /// Blocks until every item pushed so far has been applied by its worker
@@ -1041,17 +981,17 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
                 dead.push(shard);
             }
         }
-        let deadline = Instant::now() + self.supervisor.drain_timeout;
+        let deadline = Instant::now() + self.config.reply_timeout;
         for (shard, rx) in pending {
             let remaining = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(remaining) {
                 Ok(()) => {}
                 Err(RecvTimeoutError::Disconnected) => dead.push(shard),
                 Err(RecvTimeoutError::Timeout) => {
-                    self.supervisor.counters.timeouts.incr();
+                    self.counters.timeouts.incr();
                     return Err(PipelineError::Timeout {
                         operation: "drain",
-                        waited: self.supervisor.drain_timeout,
+                        waited: self.config.reply_timeout,
                     });
                 }
             }
@@ -1182,33 +1122,23 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
     /// shard's sketch — and every sealed generation — into the global
     /// view.
     ///
-    /// Outstanding [`LiveHandle`]s remain safe to use: their queries return
-    /// `None` once the workers have stopped.
+    /// Outstanding [`LiveHandle`]s remain safe to use: their snapshots
+    /// report [`PipelineError::Finished`] once the workers have stopped.
     ///
     /// Shards whose worker died along the way degrade rather than poison:
     /// the survivors merge, and [`PipelineOutput::failed_shards`] /
-    /// [`PipelineOutput::lost_items`] name the gap.
+    /// [`PipelineOutput::lost_items`] name the gap.  Even total failure
+    /// (every worker dead and no generation sealed) returns: `merged` is
+    /// then an empty summary from the factory, every shard is in
+    /// `failed_shards`, and [`PipelineOutput::coverage`] reads `0.0` — check
+    /// [`PipelineOutput::is_degraded`].
     ///
     /// # Panics
     ///
-    /// Panics if *every* worker died and no generation was sealed, or if
-    /// the shard summaries were built with mismatched seeds/shapes (see
+    /// Panics if the shard summaries were built with mismatched
+    /// seeds/shapes (see
     /// [`StreamSummary::merge_from`](crate::StreamSummary::merge_from)).
-    /// Use [`ShardedPipeline::try_finish`] to handle total failure as a
-    /// typed error.
-    pub fn finish(self) -> PipelineOutput<S> {
-        self.try_finish()
-            // PANIC-OK: degraded outputs are Ok(..); Err means every single
-            // worker died, which this convenience treats as fatal.  The
-            // try_ variant reports instead.
-            .expect("every shard worker is down")
-    }
-
-    /// Like [`ShardedPipeline::finish`], but total failure (every worker
-    /// dead and nothing sealed) surfaces as
-    /// [`PipelineError::AllShardsDown`] instead of a panic.  Partial
-    /// failure still returns `Ok` — check [`PipelineOutput::is_degraded`].
-    pub fn try_finish(mut self) -> Result<PipelineOutput<S>, PipelineError> {
+    pub fn finish(mut self) -> PipelineOutput<S> {
         let last = self.stop_generation();
         let sealed = self.publish(|published| {
             published.sealed_acknowledged += last.acknowledged;
@@ -1224,16 +1154,16 @@ impl<'f, S: SnapshotSummary> ShardedPipeline<'f, S> {
             (Some(merged), None) => merged,
             // Handles may still hold the union for a moment; copy it then.
             (None, Some(sealed)) => Arc::try_unwrap(sealed).unwrap_or_else(|arc| (*arc).clone()),
-            (None, None) => return Err(PipelineError::AllShardsDown),
+            (None, None) => (self.factory)(0),
         };
-        Ok(PipelineOutput {
+        PipelineOutput {
             merged,
             shards: last.shards,
             items: self.pushed,
             failed_shards: last.failed_shards,
             lost_items: self.lost_items,
             events: std::mem::take(&mut self.events),
-        })
+        }
     }
 }
 
@@ -1252,7 +1182,6 @@ pub fn run_sharded<S: SnapshotSummary>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Partition;
     use salsa_core::traits::MergeOp;
     use salsa_sketches::cms::CountMin;
     use salsa_sketches::cs::CountSketch;
@@ -1276,6 +1205,30 @@ mod tests {
         sketch
     }
 
+    /// How many of `items` each shard of `pipeline` owns.
+    fn routed_counts(
+        pipeline: &ShardedPipeline<'_, impl SnapshotSummary>,
+        items: &[u64],
+    ) -> Vec<u64> {
+        let mut routed = vec![0u64; pipeline.shards()];
+        for &item in items {
+            routed[pipeline.shard_of(item)] += 1;
+        }
+        routed
+    }
+
+    /// The first `n` keys routed to `shard`, in key order.
+    fn keys_of(
+        pipeline: &ShardedPipeline<'_, impl SnapshotSummary>,
+        shard: usize,
+        n: usize,
+    ) -> Vec<u64> {
+        (0u64..)
+            .filter(|&key| pipeline.shard_of(key) == shard)
+            .take(n)
+            .collect()
+    }
+
     #[test]
     fn by_key_sum_merge_cms_equals_unsharded() {
         let items = zipfish_stream(50_000, 2_000, 5);
@@ -1293,44 +1246,19 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_sum_merge_cms_equals_unsharded() {
-        let items = zipfish_stream(50_000, 2_000, 7);
-        let make = |_: usize| CountMin::salsa(4, 512, 8, MergeOp::Sum, 13);
-        let config = PipelineConfig::new(3)
-            .partition(Partition::RoundRobin)
-            .batch_size(64);
-        let out = run_sharded(&config, make, &items);
-        let single = unsharded(make(0), &items);
-        for item in 0..2_000u64 {
-            assert_eq!(
-                out.merged.estimate(item),
-                single.estimate(item),
-                "item {item}"
-            );
-        }
-    }
-
-    #[test]
     fn max_merge_cms_never_underestimates_across_shards() {
         let items = zipfish_stream(40_000, 1_000, 9);
         let mut truth = std::collections::HashMap::new();
         for &item in &items {
             *truth.entry(item).or_insert(0u64) += 1;
         }
-        for partition in [Partition::ByKey, Partition::RoundRobin] {
-            let config = PipelineConfig::new(4).partition(partition);
-            let out = run_sharded(
-                &config,
-                |_| CountMin::salsa(4, 512, 8, MergeOp::Max, 17),
-                &items,
-            );
-            for (&item, &count) in &truth {
-                assert!(
-                    out.merged.estimate(item) >= count,
-                    "{} item {item}",
-                    partition.name()
-                );
-            }
+        let out = run_sharded(
+            &PipelineConfig::new(4),
+            |_| CountMin::salsa(4, 512, 8, MergeOp::Max, 17),
+            &items,
+        );
+        for (&item, &count) in &truth {
+            assert!(out.merged.estimate(item) >= count, "item {item}");
         }
     }
 
@@ -1404,47 +1332,38 @@ mod tests {
         // so chunk tails, whole lane groups and multi-chunk slices all
         // occur, and a batch size of 7 makes extend dispatch mid-slice.
         let stream = zipfish_stream(200 * 201 / 2, 1 << 20, 23);
-        for partition in [Partition::ByKey, Partition::RoundRobin] {
-            for shards in [2, 3] {
-                let config = PipelineConfig::new(shards)
-                    .batch_size(7)
-                    .partition(partition);
-                let factory = |shard| SubStreams(vec![(shard, Vec::new())]);
-                let mut pushed = ShardedPipeline::new(&config, factory);
-                let mut extended = ShardedPipeline::new(&config, factory);
-                let mut rest = stream.as_slice();
-                for len in 0..=200 {
-                    let (slice, tail) = rest.split_at(len);
-                    for &item in slice {
-                        pushed.push(item);
-                    }
-                    extended.extend(slice);
-                    assert_eq!(extended.pushed(), pushed.pushed());
-                    rest = tail;
+        for shards in [2, 3] {
+            let config = PipelineConfig::new(shards).batch_size(7);
+            let factory = |shard| SubStreams(vec![(shard, Vec::new())]);
+            let mut pushed = ShardedPipeline::new(&config, factory);
+            let mut extended = ShardedPipeline::new(&config, factory);
+            let mut rest = stream.as_slice();
+            for len in 0..=200 {
+                let (slice, tail) = rest.split_at(len);
+                for &item in slice {
+                    pushed.push(item);
                 }
-                let (pushed, extended) = (pushed.finish(), extended.finish());
-                assert_eq!(extended.items, stream.len() as u64);
-                assert_eq!(
-                    extended.merged, pushed.merged,
-                    "{partition:?} over {shards} shards"
-                );
-                let total: usize = extended.merged.0.iter().map(|(_, log)| log.len()).sum();
-                assert_eq!(total, stream.len());
+                extended.extend(slice);
+                assert_eq!(extended.pushed(), pushed.pushed());
+                rest = tail;
             }
+            let (pushed, extended) = (pushed.finish(), extended.finish());
+            assert_eq!(extended.items, stream.len() as u64);
+            assert_eq!(extended.merged, pushed.merged, "over {shards} shards");
+            let total: usize = extended.merged.0.iter().map(|(_, log)| log.len()).sum();
+            assert_eq!(total, stream.len());
         }
     }
 
     #[test]
     fn stats_account_for_every_item_and_batch() {
         let items: Vec<u64> = (0..10_000).map(|i| i % 97).collect();
-        let config = PipelineConfig::new(4)
-            .partition(Partition::RoundRobin)
-            .batch_size(128);
-        let out = run_sharded(
-            &config,
-            |_| CountMin::salsa(2, 128, 8, MergeOp::Sum, 3),
-            &items,
-        );
+        let config = PipelineConfig::new(4).batch_size(128);
+        let mut pipeline =
+            ShardedPipeline::new(&config, |_| CountMin::salsa(2, 128, 8, MergeOp::Sum, 3));
+        let routed = routed_counts(&pipeline, &items);
+        pipeline.extend(&items);
+        let out = pipeline.finish();
         assert_eq!(out.items, 10_000);
         assert_eq!(out.shards.len(), 4);
         assert_eq!(out.shards.iter().map(|s| s.items).sum::<u64>(), 10_000);
@@ -1452,10 +1371,11 @@ mod tests {
         assert_eq!(out.lost_items, 0);
         assert_eq!(out.coverage(), 1.0);
         assert!(!out.is_degraded());
-        // Round-robin deals items evenly.
-        for stats in &out.shards {
-            assert_eq!(stats.items, 2_500);
-            assert!(stats.batches >= 2_500 / 128);
+        // Each shard applies exactly its keys' items, in full batches plus
+        // the partial one `finish` flushes.
+        for (stats, &routed) in out.shards.iter().zip(&routed) {
+            assert_eq!(stats.items, routed);
+            assert_eq!(stats.batches, routed.div_ceil(128));
             assert!(stats.busy_secs >= 0.0);
             assert_eq!(stats.snapshots, 0);
         }
@@ -1494,33 +1414,32 @@ mod tests {
     fn snapshot_mid_stream_sits_at_the_flushed_epoch() {
         let items = zipfish_stream(20_000, 500, 47);
         let make = |_: usize| CountMin::salsa(3, 512, 8, MergeOp::Sum, 53);
-        for partition in [Partition::ByKey, Partition::RoundRobin] {
-            let config = PipelineConfig::new(3).partition(partition).batch_size(64);
-            let mut pipeline = ShardedPipeline::new(&config, make);
-            pipeline.extend(&items[..12_345]);
-            let view = pipeline.snapshot();
-            assert_eq!(view.epoch(), 12_345, "{}", partition.name());
-            assert!(!view.is_degraded(), "{}", partition.name());
-            assert_eq!(view.shards_failed(), 0);
-            assert_eq!(view.coverage_fraction(), 1.0);
-            let prefix = unsharded(make(0), &items[..12_345]);
-            for item in 0..500u64 {
-                assert_eq!(
-                    view.estimate(item),
-                    prefix.estimate(item) as i64,
-                    "{} item {item}",
-                    partition.name()
-                );
-            }
-            // The snapshot must not perturb the final state.
-            pipeline.extend(&items[12_345..]);
-            let out = pipeline.finish();
-            let single = unsharded(make(0), &items);
-            for item in 0..500u64 {
-                assert_eq!(out.merged.estimate(item), single.estimate(item));
-            }
-            assert_eq!(out.shards.iter().map(|s| s.snapshots).sum::<u64>(), 3);
+        let config = PipelineConfig::new(3).batch_size(64);
+        let mut pipeline = ShardedPipeline::new(&config, make);
+        pipeline.extend(&items[..12_345]);
+        let view = pipeline
+            .snapshot()
+            .expect("a healthy pipeline serves views");
+        assert_eq!(view.epoch(), 12_345);
+        assert!(!view.is_degraded());
+        assert_eq!(view.shards_failed(), 0);
+        assert_eq!(view.coverage_fraction(), 1.0);
+        let prefix = unsharded(make(0), &items[..12_345]);
+        for item in 0..500u64 {
+            assert_eq!(
+                view.estimate(item),
+                prefix.estimate(item) as i64,
+                "item {item}"
+            );
         }
+        // The snapshot must not perturb the final state.
+        pipeline.extend(&items[12_345..]);
+        let out = pipeline.finish();
+        let single = unsharded(make(0), &items);
+        for item in 0..500u64 {
+            assert_eq!(out.merged.estimate(item), single.estimate(item));
+        }
+        assert_eq!(out.shards.iter().map(|s| s.snapshots).sum::<u64>(), 3);
     }
 
     #[test]
@@ -1581,11 +1500,10 @@ mod tests {
     #[test]
     fn shard_loads_track_dispatch_apply_and_busy_time() {
         let items: Vec<u64> = (0..4_096).collect();
-        let config = PipelineConfig::new(2)
-            .partition(Partition::RoundRobin)
-            .batch_size(256);
+        let config = PipelineConfig::new(2).batch_size(256);
         let mut pipeline =
             ShardedPipeline::new(&config, |_| CountMin::salsa(2, 256, 8, MergeOp::Sum, 73));
+        let routed = routed_counts(&pipeline, &items);
         pipeline.extend(&items);
         assert_eq!(
             pipeline.buffered()
@@ -1600,9 +1518,9 @@ mod tests {
         pipeline.drain();
         let loads = pipeline.shard_loads();
         assert_eq!(pipeline.buffered(), 0);
-        for load in &loads {
-            assert_eq!(load.dispatched, 2_048);
-            assert_eq!(load.applied, 2_048, "drained: everything applied");
+        for (load, &routed) in loads.iter().zip(&routed) {
+            assert_eq!(load.dispatched, routed);
+            assert_eq!(load.applied, routed, "drained: everything applied");
             assert_eq!(load.queue_depth(), 0);
             assert!(load.busy_secs >= 0.0);
         }
@@ -1631,17 +1549,17 @@ mod tests {
     fn panicked_shard_degrades_instead_of_poisoning() {
         crate::chaos::silence_worker_panics();
         let plan = Arc::new(FaultPlan::new().panic_shard(1, 128));
-        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-        let counters = Arc::clone(&supervisor.counters);
         let config = PipelineConfig::new(2)
-            .partition(Partition::RoundRobin)
-            .batch_size(128);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(79));
-        // Round-robin over 2 shards: even indices land on shard 0, odd on
-        // shard 1; each shard sees two 128-item batches.  Shard 1 applies
-        // its first batch, then panics on the second (128 + 128 > 128).
-        let items: Vec<u64> = (0..512).collect();
-        pipeline.extend(&items);
+            .batch_size(128)
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(79));
+        let counters = Arc::clone(pipeline.counters());
+        // 256 keys of each shard: each shard sees two 128-item batches.
+        // Shard 1 applies its first batch, then panics on the second
+        // (128 + 128 > 128).
+        let (zero, one) = (keys_of(&pipeline, 0, 256), keys_of(&pipeline, 1, 256));
+        pipeline.extend(&zero);
+        pipeline.extend(&one);
         assert_eq!(
             pipeline.try_drain().expect("drain degrades, not errors"),
             512
@@ -1655,18 +1573,18 @@ mod tests {
             256,
             "128 applied-then-lost + 128 in flight"
         );
-        let view = pipeline.try_snapshot().expect("degraded views are served");
+        let view = pipeline.snapshot().expect("degraded views are served");
         assert!(view.is_degraded());
         assert_eq!(view.shards_failed(), 1);
         assert_eq!(view.shards_ok(), 1);
         assert_eq!(view.epoch(), 384, "256 on the survivor + 128 acknowledged");
         assert_eq!(view.coverage().uncovered_items, 128, "acknowledged, lost");
         assert!((view.coverage_fraction() - 256.0 / 384.0).abs() < 1e-9);
-        for item in (0..512u64).step_by(2) {
+        for &item in &zero {
             assert!(view.estimate(item) >= 1, "survivor keeps serving queries");
         }
         assert!(counters.degraded_snapshots.get() >= 1);
-        let out = pipeline.try_finish().expect("the survivors still merge");
+        let out = pipeline.finish();
         assert_eq!(out.failed_shards, vec![1]);
         assert_eq!(out.lost_items, 256);
         assert!((out.coverage() - 0.5).abs() < 1e-9);
@@ -1678,19 +1596,22 @@ mod tests {
     fn restart_policy_recovers_routing_capacity() {
         crate::chaos::silence_worker_panics();
         let plan = Arc::new(FaultPlan::new().panic_shard(1, 256));
-        let supervisor = SupervisorConfig::new().restart(2).chaos(Arc::clone(&plan));
-        let counters = Arc::clone(&supervisor.counters);
         let config = PipelineConfig::new(2)
-            .partition(Partition::RoundRobin)
-            .batch_size(128);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(83));
-        pipeline.extend(&(0..512).collect::<Vec<u64>>());
+            .batch_size(128)
+            .recovery(Recovery::Restart { max_restarts: 2 })
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(83));
+        let counters = Arc::clone(pipeline.counters());
+        let (zero, one) = (keys_of(&pipeline, 0, 640), keys_of(&pipeline, 1, 640));
+        pipeline.extend(&zero[..256]);
+        pipeline.extend(&one[..256]);
         pipeline.drain();
         assert!(pipeline.health().all_up());
         // Shard 1's third batch crosses 256 applied items and panics
         // (before applying), so exactly 256 acknowledged items die with the
         // incarnation and the 128-item batch in flight is dropped.
-        pipeline.extend(&(512..768).collect::<Vec<u64>>());
+        pipeline.extend(&zero[256..384]);
+        pipeline.extend(&one[256..384]);
         assert_eq!(pipeline.try_drain().expect("drain restarts the shard"), 768);
         assert!(pipeline.health().all_up(), "shard 1 is back up");
         assert_eq!(pipeline.health().restarts(1), 1);
@@ -1702,9 +1623,10 @@ mod tests {
             "256 applied-then-lost + 128 in flight"
         );
         // The restarted shard ingests from an empty sketch.
-        pipeline.extend(&(768..1280).collect::<Vec<u64>>());
+        pipeline.extend(&zero[384..]);
+        pipeline.extend(&one[384..]);
         pipeline.drain();
-        let view = pipeline.snapshot();
+        let view = pipeline.snapshot().expect("every shard replies");
         assert_eq!(view.shards_failed(), 0, "everything replies again");
         assert!(view.is_degraded(), "restarted-away items stay uncovered");
         assert_eq!(
@@ -1725,38 +1647,43 @@ mod tests {
     }
 
     #[test]
-    fn pushes_to_a_dead_shard_surface_typed_errors() {
+    fn pushes_to_a_dead_shard_are_counted_as_lost() {
         crate::chaos::silence_worker_panics();
         let plan = Arc::new(FaultPlan::new().panic_shard(1, 0));
-        let supervisor = SupervisorConfig::new().chaos(plan);
-        let counters = Arc::clone(&supervisor.counters);
-        let config = PipelineConfig::new(2)
-            .partition(Partition::RoundRobin)
-            .batch_size(1);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(89));
-        let mut first_error = None;
-        for item in 0..10_000u64 {
-            if let Err(err) = pipeline.try_push(item) {
-                first_error = Some(err);
-                break;
-            }
+        let config = PipelineConfig::new(2).batch_size(1).chaos(plan);
+        let mut pipeline = ShardedPipeline::new(&config, cms(89));
+        let counters = Arc::clone(pipeline.counters());
+        // Shard 1 panics on its first one-item batch; every later push to
+        // it is dropped at dispatch or dies in its channel.
+        let (zero, one) = (keys_of(&pipeline, 0, 100), keys_of(&pipeline, 1, 100));
+        for (&survivor, &victim) in zero.iter().zip(&one) {
+            pipeline.push(survivor);
+            pipeline.push(victim);
         }
-        assert_eq!(first_error, Some(PipelineError::ShardDown { shard: 1 }));
-        assert!(pipeline.lost_items() > 0);
+        assert_eq!(pipeline.try_drain(), Ok(200), "the drain degrades");
+        assert_eq!(pipeline.health().state(1), ShardState::Down);
+        assert_eq!(pipeline.lost_items(), 100, "every push to shard 1");
         assert_eq!(counters.dropped_items.get(), pipeline.lost_items());
-        let out = pipeline.try_finish().expect("shard 0 survives");
+        assert_eq!(
+            counters.timeouts.get(),
+            0,
+            "unbounded dispatch never times out"
+        );
+        let out = pipeline.finish();
         assert_eq!(out.failed_shards, vec![1]);
+        assert_eq!(out.lost_items, 100);
+        assert!((out.coverage() - 0.5).abs() < 1e-9);
+        assert_eq!(counters.dropped_items.get(), 100, "finish adds nothing");
     }
 
     #[test]
     fn dropped_drain_ack_hits_the_deadline() {
         let plan = Arc::new(FaultPlan::new().drop_ack(0, 0));
-        let supervisor = SupervisorConfig::new()
-            .drain_timeout(Duration::from_millis(200))
+        let config = PipelineConfig::new(1)
+            .batch_size(8)
+            .reply_timeout(Duration::from_millis(200))
             .chaos(plan);
-        let counters = Arc::clone(&supervisor.counters);
-        let config = PipelineConfig::new(1).batch_size(8);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(97));
+        let mut pipeline = ShardedPipeline::new(&config, cms(97));
         pipeline.extend(&[1, 2, 3]);
         assert_eq!(
             pipeline.try_drain(),
@@ -1765,7 +1692,7 @@ mod tests {
                 waited: Duration::from_millis(200),
             })
         );
-        assert_eq!(counters.timeouts.get(), 1);
+        assert_eq!(pipeline.counters().timeouts.get(), 1);
         assert_eq!(
             pipeline.drain(),
             3,
@@ -1777,26 +1704,34 @@ mod tests {
     #[test]
     fn bounded_dispatch_times_out_on_a_stalled_shard() {
         let plan = Arc::new(FaultPlan::new().stall_shard(0, 0, Duration::from_millis(400)));
-        let supervisor = SupervisorConfig::new()
+        let config = PipelineConfig::new(1)
+            .batch_size(1)
             .dispatch_timeout(Duration::from_millis(30))
             .chaos(plan);
-        let counters = Arc::clone(&supervisor.counters);
-        let config = PipelineConfig::new(1).batch_size(1);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(101));
-        let mut timed_out = false;
+        let mut pipeline = ShardedPipeline::new(&config, cms(101));
+        let counters = Arc::clone(pipeline.counters());
         // The first batch stalls the worker; the channel backs up, and a
         // bounded dispatch must give up within its deadline instead of
-        // blocking behind the wedged shard.
+        // blocking behind the wedged shard: the push returns, and its batch
+        // is counted as a timeout and a drop.
         for item in 0..32u64 {
-            if let Err(PipelineError::Timeout { operation, .. }) = pipeline.try_push(item) {
-                assert_eq!(operation, "dispatch");
-                timed_out = true;
-                break;
-            }
+            pipeline.push(item);
         }
-        assert!(timed_out, "a stalled worker must not block a bounded push");
-        assert!(counters.timeouts.get() >= 1);
+        assert!(
+            counters.timeouts.get() >= 1,
+            "a stalled worker must not block a bounded push"
+        );
         assert!(pipeline.lost_items() >= 1);
+        assert_eq!(
+            counters.dropped_items.get(),
+            pipeline.lost_items(),
+            "every timed-out batch is dropped"
+        );
+        assert_eq!(
+            counters.timeouts.get(),
+            pipeline.lost_items(),
+            "one-item batches"
+        );
         let out = pipeline.finish();
         assert_eq!(
             out.items - out.lost_items,
@@ -1806,15 +1741,17 @@ mod tests {
     }
 
     #[test]
-    fn supervised_healthy_run_matches_unsupervised() {
+    fn healthy_run_under_restart_policy_matches_default_config() {
         let items = zipfish_stream(20_000, 500, 103);
-        let config = PipelineConfig::new(4).batch_size(64);
-        let supervisor = SupervisorConfig::new().restart(3);
-        let counters = Arc::clone(&supervisor.counters);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(107));
+        let plain = PipelineConfig::new(4).batch_size(64);
+        let config = plain
+            .clone()
+            .recovery(Recovery::Restart { max_restarts: 3 });
+        let mut pipeline = ShardedPipeline::new(&config, cms(107));
+        let counters = Arc::clone(pipeline.counters());
         pipeline.extend(&items);
         let out = pipeline.finish();
-        let plain = run_sharded(&config, cms(107), &items);
+        let plain = run_sharded(&plain, cms(107), &items);
         for item in 0..500u64 {
             assert_eq!(out.merged.estimate(item), plain.merged.estimate(item));
         }
@@ -1823,23 +1760,16 @@ mod tests {
         assert_eq!(counters.dropped_items.get(), 0);
     }
 
-    /// Keys routed to `shard` under by-key routing, in key order.
-    fn keys_of(pipeline: &ShardedPipeline<'_, impl SnapshotSummary>, shard: usize) -> Vec<u64> {
-        (0u64..)
-            .filter(|&key| pipeline.shard_of(key) == shard)
-            .take(256)
-            .collect()
-    }
-
     #[test]
     fn served_epochs_stay_monotone_across_a_shard_death() {
         crate::chaos::silence_worker_panics();
         let plan = Arc::new(FaultPlan::new().panic_shard(1, 128));
-        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-        let config = PipelineConfig::new(2).batch_size(64);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(109));
+        let config = PipelineConfig::new(2)
+            .batch_size(64)
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(109));
         let handle = pipeline.live_handle();
-        let (zero, one) = (keys_of(&pipeline, 0), keys_of(&pipeline, 1));
+        let (zero, one) = (keys_of(&pipeline, 0, 256), keys_of(&pipeline, 1, 256));
         pipeline.extend(&zero[..128]);
         pipeline.extend(&one[..128]);
         pipeline.drain();
@@ -1871,24 +1801,49 @@ mod tests {
         // Shard 0's trigger lies past generation 0's 64 items; shard 1
         // exists only in generation 1.  Both die there.
         let plan = Arc::new(FaultPlan::new().panic_shard(0, 64).panic_shard(1, 0));
-        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
         let config = PipelineConfig::new(1)
-            .partition(Partition::RoundRobin)
-            .batch_size(64);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(131));
-        let items: Vec<u64> = (0..320).map(|i| i % 50).collect();
-        pipeline.extend(&items[..64]);
+            .batch_size(64)
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(131));
+        let sealed_items: Vec<u64> = (0..64).map(|i| i % 50).collect();
+        pipeline.extend(&sealed_items);
         pipeline.rescale(2).expect("1 -> 2 is a real rescale");
-        pipeline.extend(&items[64..]);
-        let out = pipeline
-            .try_finish()
-            .expect("the sealed generation survives");
+        // 128 keys of each new shard: shard 0 applies one 64-item batch and
+        // panics on its second, shard 1 panics on its first.
+        pipeline.extend(&keys_of(&pipeline, 0, 128));
+        pipeline.extend(&keys_of(&pipeline, 1, 128));
+        let out = pipeline.finish();
         assert_eq!(plan.fired(), 2);
         assert_eq!(out.failed_shards, vec![0, 1]);
         assert_eq!(out.lost_items, 256, "all of generation 1");
-        let sealed = unsharded(cms(131)(0), &items[..64]);
+        let sealed = unsharded(cms(131)(0), &sealed_items);
         for item in 0..50u64 {
             assert_eq!(out.merged.estimate(item), sealed.estimate(item));
+        }
+    }
+
+    #[test]
+    fn finish_reports_total_failure_in_band() {
+        crate::chaos::silence_worker_panics();
+        // Every worker dies on its first batch and nothing was sealed:
+        // `finish` still returns, with nothing covered.
+        let plan = Arc::new(FaultPlan::new().panic_shard(0, 0).panic_shard(1, 0));
+        let config = PipelineConfig::new(2)
+            .batch_size(32)
+            .recovery(Recovery::Degrade)
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(137));
+        let items = zipfish_stream(1_000, 200, 139);
+        pipeline.extend(&items);
+        let out = pipeline.finish();
+        assert_eq!(plan.fired(), 2);
+        assert_eq!(out.items, 1_000);
+        assert_eq!(out.failed_shards, vec![0, 1], "every shard failed");
+        assert_eq!(out.lost_items, out.items, "nothing was covered");
+        assert_eq!(out.coverage(), 0.0);
+        assert!(out.is_degraded());
+        for item in 0..200u64 {
+            assert_eq!(out.merged.estimate(item), 0, "an empty summary");
         }
     }
 
@@ -1896,11 +1851,12 @@ mod tests {
     fn coverage_gaps_survive_a_rescale() {
         crate::chaos::silence_worker_panics();
         let plan = Arc::new(FaultPlan::new().panic_shard(1, 128));
-        let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-        let config = PipelineConfig::new(2).batch_size(64);
-        let mut pipeline = ShardedPipeline::supervised(&config, supervisor, cms(127));
+        let config = PipelineConfig::new(2)
+            .batch_size(64)
+            .chaos(Arc::clone(&plan));
+        let mut pipeline = ShardedPipeline::new(&config, cms(127));
         let handle = pipeline.live_handle();
-        let (zero, one) = (keys_of(&pipeline, 0), keys_of(&pipeline, 1));
+        let (zero, one) = (keys_of(&pipeline, 0, 256), keys_of(&pipeline, 1, 256));
         pipeline.extend(&zero[..128]);
         pipeline.extend(&one);
         pipeline.drain();
@@ -1991,7 +1947,9 @@ mod tests {
         pipeline.extend(&items[..5_000]);
         pipeline.rescale(3);
         pipeline.extend(&items[5_000..9_000]);
-        let view = pipeline.snapshot();
+        let view = pipeline
+            .snapshot()
+            .expect("a healthy pipeline serves views");
         assert_eq!(view.epoch(), 9_000);
         assert_eq!(view.generation(), 1);
         let prefix = unsharded(baseline(0), &items[..9_000]);
@@ -2021,7 +1979,11 @@ mod tests {
         let final_view = handle.snapshot().expect("live before finish");
         assert_eq!(final_view.epoch(), items.len() as u64);
         pipeline.finish();
-        assert!(handle.snapshot().is_none(), "snapshot after finish");
+        assert_eq!(
+            handle.snapshot().err(),
+            Some(PipelineError::Finished),
+            "snapshot after finish"
+        );
         assert_eq!(handle.shards(), 0);
         assert_eq!(handle.acknowledged(), items.len() as u64);
     }
@@ -2032,13 +1994,17 @@ mod tests {
         pipeline.extend(&stream(2_000, 100, 13));
         pipeline.drain();
         let handle = pipeline.live_handle();
-        assert!(handle.snapshot().is_some());
+        assert!(handle.snapshot().is_ok());
         let acknowledged_before = handle.acknowledged();
         assert_eq!(acknowledged_before, 2_000);
         drop(pipeline);
         // Without the Drop impl this would retry against the stopped
         // workers until the snapshot deadline.
-        assert!(handle.snapshot().is_none(), "snapshot after drop");
+        assert_eq!(
+            handle.snapshot().err(),
+            Some(PipelineError::Finished),
+            "snapshot after drop"
+        );
         assert_eq!(handle.shards(), 0);
         // The live generation's progress is folded into the sealed count
         // at drop, so the acknowledged count never moves backwards.

@@ -2,9 +2,9 @@
 //!
 //! A [`SnapshotView`] is assembled by merging clones of the per-shard
 //! summaries (Section V: same-seed sketches combine counter-wise), so it
-//! can be queried freely — per-shard stats always; point estimates, top-k,
-//! distinct counts, entropy and the like whenever the summary implements
-//! the matching capability trait ([`FrequencyQueries`],
+//! can be queried freely — its epoch and coverage always; point estimates,
+//! top-k, distinct counts, entropy and the like whenever the summary
+//! implements the matching capability trait ([`FrequencyQueries`],
 //! [`DistinctQueries`], [`UniversalQueries`], [`TrackedQueries`]) — without
 //! holding any lock and without slowing the workers beyond the one-off
 //! clone.  The view is immutable: it represents the stream *as of its
@@ -14,7 +14,6 @@ use std::time::{Duration, Instant};
 
 use salsa_sketches::heavy_hitters::TopK;
 
-use crate::sharded::ShardStats;
 use crate::{DistinctQueries, FrequencyQueries, TrackedQueries, UniversalQueries};
 
 /// How much of the acknowledged stream a [`SnapshotView`] actually covers.
@@ -77,21 +76,18 @@ pub struct SnapshotView<S> {
     epoch: u64,
     generation: u64,
     coverage: CoverageMeta,
-    shards: Vec<ShardStats>,
     issued: Instant,
     assembled: Instant,
 }
 
 impl<S> SnapshotView<S> {
-    /// A view with explicit (possibly degraded) coverage metadata; `shards`
-    /// holds the stats of the *surviving* live shards only.  A healthy
-    /// assembly passes [`CoverageMeta::full`].
+    /// A view with explicit (possibly degraded) coverage metadata, assembled
+    /// now from a request issued at `issued`.
     pub(crate) fn with_coverage(
         merged: S,
         epoch: u64,
         generation: u64,
         coverage: CoverageMeta,
-        shards: Vec<ShardStats>,
         issued: Instant,
     ) -> Self {
         Self {
@@ -99,7 +95,6 @@ impl<S> SnapshotView<S> {
             epoch,
             generation,
             coverage,
-            shards,
             issued,
             assembled: Instant::now(),
         }
@@ -109,22 +104,10 @@ impl<S> SnapshotView<S> {
     ///
     /// [`SnapshotSource`](crate::SnapshotSource) is a public trait, so
     /// custom sources (test doubles, proxies over remote pipelines) need a
-    /// way to mint the views they serve; this is it.  The view carries no
-    /// per-shard statistics.
+    /// way to mint the views they serve; this is it.
     #[must_use]
     pub fn synthetic(merged: S, epoch: u64, generation: u64, coverage: CoverageMeta) -> Self {
-        let now = Instant::now();
-        Self {
-            merged,
-            epoch,
-            generation,
-            coverage,
-            // ALLOC-OK: empty Vec (no heap storage); synthetic views carry
-            // no shard statistics, and minting one is not the query path.
-            shards: Vec::new(),
-            issued: now,
-            assembled: now,
-        }
+        Self::with_coverage(merged, epoch, generation, coverage, Instant::now())
     }
 
     /// Acknowledged updates this view accounts for, covered or not (see
@@ -178,11 +161,6 @@ impl<S> SnapshotView<S> {
     /// are uncovered — i.e. when answers carry caveats.
     pub fn is_degraded(&self) -> bool {
         !self.coverage.is_full()
-    }
-
-    /// Per-shard statistics at the moment each shard was cloned.
-    pub fn shards(&self) -> &[ShardStats] {
-        &self.shards
     }
 
     /// The merged summary backing this view.
@@ -251,12 +229,10 @@ impl<S: TrackedQueries> SnapshotView<S> {
     /// view — the merge re-estimates every surviving item against the merged
     /// summary, so `top_k_tracked().estimate(x) == estimate(x)` for every
     /// tracked `x`.  The tracked *set* is approximate: an item is missing
-    /// only if no shard ever tracked it.  With by-key routing each key's
-    /// whole sub-stream lands on one shard, so any item a single-threaded
-    /// tracker of the same `k` would hold is tracked by its home shard;
-    /// under round-robin routing a key's occurrences are split across
-    /// shards and a borderline item can fall below every per-shard
-    /// threshold.  Use [`SnapshotView::top_k`] with an explicit candidate
+    /// only if no shard ever tracked it.  Routing is by key, so each key's
+    /// whole sub-stream lands on one shard, and any item a single-threaded
+    /// tracker of the same `k` would hold is tracked by its home shard.
+    /// Use [`SnapshotView::top_k`] with an explicit candidate
     /// set when the caller can enumerate candidates and needs exactness.
     pub fn top_k_tracked(&self) -> &TopK {
         self.merged.tracked()
@@ -273,8 +249,9 @@ impl<S: DistinctQueries> SnapshotView<S> {
 
 impl<S: UniversalQueries> SnapshotView<S> {
     /// Estimates the empirical entropy of the stream as of this view's
-    /// epoch (UnivMon G-sum estimator).
-    pub fn entropy(&self) -> f64 {
+    /// epoch (UnivMon G-sum estimator); `None` when the estimate failed
+    /// (came out negative).
+    pub fn entropy(&self) -> Option<f64> {
         self.merged.entropy()
     }
 

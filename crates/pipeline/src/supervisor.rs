@@ -10,22 +10,18 @@
 //! degrade (serve the surviving shards, with coverage metadata on every
 //! view) or restart the shard with an empty sketch.
 //!
-//! The same module carries the pipeline's *bounded-wait* knobs: snapshot
-//! and drain replies wait at most a configurable deadline, dispatch under
-//! backpressure can be bounded too, and a [`LiveHandle`] retries through a
-//! rescale's seal window with exponential [`Backoff`] under the snapshot
-//! deadline instead of forever.
+//! The same module carries the pipeline's *bounded-wait* schedule: snapshot
+//! and drain replies wait at most the configured
+//! [`reply_timeout`](crate::PipelineConfig::reply_timeout), dispatch under
+//! backpressure can be bounded too, and the waits that poll (a bounded
+//! dispatch, a [`LiveHandle`] retrying through a rescale's seal window)
+//! sleep on an exponential schedule instead of spinning.
 //!
 //! [`LiveHandle`]: crate::LiveHandle
 
 use std::time::Duration;
 
 use crate::sync::atomic::{AtomicU32, Ordering};
-use crate::sync::Arc;
-
-use salsa_metrics::HealthCounters;
-
-use crate::chaos::FaultPlan;
 
 /// What a shard's worker is currently doing, as recorded in [`ShardHealth`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,147 +140,25 @@ pub enum Recovery {
     },
 }
 
-/// Exponential backoff between bounded retries: sleeps start at `initial`
-/// and double up to `max`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Backoff {
-    /// First sleep between retries.
-    pub initial: Duration,
-    /// Cap on the sleep between retries.
-    pub max: Duration,
-}
+/// First sleep of a wait that polls (a dispatch under a timeout, a
+/// live-handle query retrying through a seal window): short enough that a
+/// seal window or a briefly full channel is re-checked promptly.
+pub(crate) const FIRST_PAUSE: Duration = Duration::from_micros(50);
 
-impl Backoff {
-    /// The next sleep after one of `current`: doubled, capped at `max`.
-    pub fn next(&self, current: Duration) -> Duration {
-        (current * 2).min(self.max)
-    }
-}
+/// Cap on the sleep between polls: long enough that a waiting thread never
+/// busy-spins against the very work it waits on.
+const MAX_PAUSE: Duration = Duration::from_millis(5);
 
-impl Default for Backoff {
-    /// 50µs doubling to at most 5ms — short enough that a seal window or a
-    /// briefly full channel is re-checked promptly, long enough that a
-    /// waiting thread never busy-spins against the very work it waits on.
-    fn default() -> Self {
-        Self {
-            initial: Duration::from_micros(50),
-            max: Duration::from_millis(5),
-        }
-    }
-}
-
-/// Fault-tolerance configuration of a supervised pipeline — what to do
-/// about dead workers, how long each blocking edge may wait, and the
-/// observability hooks.  Pass it to
-/// [`ShardedPipeline::supervised`](crate::ShardedPipeline::supervised).
-#[derive(Clone)]
-pub struct SupervisorConfig {
-    /// What to do when a shard worker dies (default: [`Recovery::Degrade`]).
-    pub recovery: Recovery,
-    /// How long a snapshot waits for each shard's reply before the call
-    /// reports a timeout — and how long a live-handle query retries
-    /// through a rescale's seal window.
-    pub snapshot_timeout: Duration,
-    /// How long a drain waits for each shard's barrier acknowledgement.
-    pub drain_timeout: Duration,
-    /// Bound on a dispatch blocked by backpressure.  `None` (the default)
-    /// blocks indefinitely, exactly like an unsupervised pipeline — full
-    /// channels are flow control, not a fault; set a bound when a stalled
-    /// worker must not stall the producer (the batch is then counted as
-    /// dropped).
-    pub dispatch_timeout: Option<Duration>,
-    /// Sleep schedule for bounded waits that poll (dispatch under a
-    /// timeout, a live-handle query retrying through a seal window).
-    pub backoff: Backoff,
-    /// Fault-injection plan threaded into the worker loops; `None` outside
-    /// chaos tests and benches.
-    pub chaos: Option<Arc<FaultPlan>>,
-    /// Event counters the supervision layer records into; share the `Arc`
-    /// to observe panics/restarts/timeouts/drops from outside.
-    pub counters: Arc<HealthCounters>,
-}
-
-impl std::fmt::Debug for SupervisorConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SupervisorConfig")
-            .field("recovery", &self.recovery)
-            .field("snapshot_timeout", &self.snapshot_timeout)
-            .field("drain_timeout", &self.drain_timeout)
-            .field("dispatch_timeout", &self.dispatch_timeout)
-            .field("backoff", &self.backoff)
-            .field("chaos", &self.chaos.as_ref().map(|_| "FaultPlan"))
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for SupervisorConfig {
-    /// Degrade on death; 30s reply deadlines (unreachable in healthy runs,
-    /// small enough that a wedged worker cannot hang a caller forever);
-    /// unbounded dispatch (backpressure is flow control).
-    fn default() -> Self {
-        Self {
-            recovery: Recovery::default(),
-            snapshot_timeout: Duration::from_secs(30),
-            drain_timeout: Duration::from_secs(30),
-            dispatch_timeout: None,
-            backoff: Backoff::default(),
-            chaos: None,
-            counters: Arc::new(HealthCounters::new()),
-        }
-    }
-}
-
-impl SupervisorConfig {
-    /// The default configuration (see [`SupervisorConfig::default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the recovery policy.
-    pub fn recovery(mut self, recovery: Recovery) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Shorthand for [`Recovery::Restart`] with the given budget.
-    pub fn restart(self, max_restarts: u32) -> Self {
-        self.recovery(Recovery::Restart { max_restarts })
-    }
-
-    /// Sets the per-shard snapshot reply deadline.
-    pub fn snapshot_timeout(mut self, timeout: Duration) -> Self {
-        self.snapshot_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-shard drain acknowledgement deadline.
-    pub fn drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
-        self
-    }
-
-    /// Bounds dispatch under backpressure (see the field docs).
-    pub fn dispatch_timeout(mut self, timeout: Duration) -> Self {
-        self.dispatch_timeout = Some(timeout);
-        self
-    }
-
-    /// Threads a fault-injection plan into the worker loops.
-    pub fn chaos(mut self, plan: Arc<FaultPlan>) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
-    /// Records supervision events into caller-shared counters.
-    pub fn counters(mut self, counters: Arc<HealthCounters>) -> Self {
-        self.counters = counters;
-        self
-    }
+/// The sleep after one of `pause`: doubled, capped at [`MAX_PAUSE`].
+pub(crate) fn next_pause(pause: Duration) -> Duration {
+    (pause * 2).min(MAX_PAUSE)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sync::Arc;
+    use crate::{FaultPlan, PipelineConfig};
 
     #[test]
     fn health_board_tracks_states_and_restarts() {
@@ -308,32 +182,42 @@ mod tests {
 
     #[test]
     fn backoff_doubles_to_its_cap() {
-        let backoff = Backoff::default();
-        let mut sleep = backoff.initial;
-        assert_eq!(sleep, Duration::from_micros(50));
-        sleep = backoff.next(sleep);
-        assert_eq!(sleep, Duration::from_micros(100));
+        let mut pause = FIRST_PAUSE;
+        assert_eq!(pause, Duration::from_micros(50));
+        pause = next_pause(pause);
+        assert_eq!(pause, Duration::from_micros(100));
         for _ in 0..20 {
-            sleep = backoff.next(sleep);
+            pause = next_pause(pause);
         }
-        assert_eq!(sleep, backoff.max, "capped");
+        assert_eq!(pause, Duration::from_millis(5), "capped");
     }
 
     #[test]
     fn config_builders_compose() {
-        let config = SupervisorConfig::new()
-            .restart(2)
-            .snapshot_timeout(Duration::from_millis(100))
-            .drain_timeout(Duration::from_millis(200))
-            .dispatch_timeout(Duration::from_millis(50));
+        let plan = Arc::new(FaultPlan::new());
+        let config = PipelineConfig::new(2)
+            .shards(3)
+            .batch_size(64)
+            .recovery(Recovery::Restart { max_restarts: 2 })
+            .reply_timeout(Duration::from_millis(100))
+            .dispatch_timeout(Duration::from_millis(50))
+            .chaos(Arc::clone(&plan));
+        assert_eq!(config.shards, 3);
+        assert_eq!(config.batch_size, 64);
         assert_eq!(config.recovery, Recovery::Restart { max_restarts: 2 });
-        assert_eq!(config.snapshot_timeout, Duration::from_millis(100));
-        assert_eq!(config.drain_timeout, Duration::from_millis(200));
+        assert_eq!(config.reply_timeout, Duration::from_millis(100));
         assert_eq!(config.dispatch_timeout, Some(Duration::from_millis(50)));
         let clone = config.clone();
         assert!(
-            Arc::ptr_eq(&clone.counters, &config.counters),
-            "clones share the counters"
+            clone
+                .chaos
+                .is_some_and(|shared| Arc::ptr_eq(&shared, &plan)),
+            "clones share the fault plan"
         );
+        let defaults = PipelineConfig::new(1);
+        assert_eq!(defaults.recovery, Recovery::Degrade);
+        assert_eq!(defaults.reply_timeout, Duration::from_secs(30));
+        assert_eq!(defaults.dispatch_timeout, None);
+        assert!(defaults.chaos.is_none());
     }
 }

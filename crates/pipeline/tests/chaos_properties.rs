@@ -1,8 +1,8 @@
 //! Property-based chaos tests: degraded views against ground truth.
 //!
-//! Faults trigger on shard-local applied counts, which under
-//! [`Partition::ByKey`] are a deterministic function of the stream, the
-//! routing and the batching — so for *any* scripted panic schedule the
+//! Faults trigger on shard-local applied counts, which under by-key
+//! routing are a deterministic function of the stream, the routing and the
+//! batching — so for *any* scripted panic schedule the
 //! test can compute exactly which part of the stream survives and check
 //! the degraded pipeline against it:
 //!
@@ -18,9 +18,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use salsa_core::prelude::*;
-use salsa_pipeline::{
-    silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline, SupervisorConfig,
-};
+use salsa_pipeline::{silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline};
 use salsa_sketches::prelude::*;
 
 const UNIVERSE: u64 = 300;
@@ -62,14 +60,15 @@ fn check_panic_schedule(
     batch_size: usize,
 ) -> Result<(), TestCaseError> {
     silence_worker_panics();
-    let config = PipelineConfig::new(SHARDS).batch_size(batch_size);
     let mut plan = FaultPlan::new();
     for &(shard, after_items) in schedule {
         plan = plan.panic_shard(shard, after_items);
     }
     let plan = Arc::new(plan);
-    let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_sketch());
+    let config = PipelineConfig::new(SHARDS)
+        .batch_size(batch_size)
+        .chaos(Arc::clone(&plan));
+    let mut pipeline = ShardedPipeline::new(&config, make_sketch());
 
     // Ground truth, from the same routing the pipeline uses: each shard's
     // sub-stream in arrival order.
@@ -108,7 +107,7 @@ fn check_panic_schedule(
 
     if !fired.is_empty() {
         let view = pipeline
-            .try_snapshot()
+            .snapshot()
             .expect("survivors keep serving degraded views");
         prop_assert!(view.is_degraded());
         prop_assert_eq!(view.shards_failed(), fired.len());
@@ -123,9 +122,7 @@ fn check_panic_schedule(
         prop_assert_eq!(view.coverage().uncovered_items, acknowledged_lost);
     }
 
-    let out = pipeline
-        .try_finish()
-        .expect("at most two of four shards die in any schedule");
+    let out = pipeline.finish();
     let mut failed = out.failed_shards.clone();
     failed.sort_unstable();
     let mut expected_failed = fired.clone();

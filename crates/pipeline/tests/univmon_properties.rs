@@ -58,8 +58,9 @@ proptest! {
 
         prop_assert_eq!(merged.total(), single.total(), "totals add exactly");
         prop_assert!(
-            rel_err(merged.entropy(), single.entropy()) < 0.15,
-            "entropy: merged {} vs single {}",
+            // A failed estimate compares as 0.0, on either side.
+            rel_err(merged.entropy().unwrap_or(0.0), single.entropy().unwrap_or(0.0)) < 0.15,
+            "entropy: merged {:?} vs single {:?}",
             merged.entropy(),
             single.entropy()
         );

@@ -119,8 +119,10 @@ pub trait DistinctQueries {
 ///
 /// Gates the pipeline's `entropy`/`fp_moment`/`distinct` views.
 pub trait UniversalQueries {
-    /// Estimates the empirical entropy of the frequency distribution.
-    fn entropy(&self) -> f64;
+    /// Estimates the empirical entropy of the frequency distribution;
+    /// `None` when the estimate failed (for the G-sum estimator, when it
+    /// came out negative), so a failure never reads as an answer.
+    fn entropy(&self) -> Option<f64>;
 
     /// Estimates the `p`-th frequency moment `F_p = Σ_x f_x^p`.
     fn fp_moment(&self, p: f64) -> f64;

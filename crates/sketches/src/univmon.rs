@@ -224,14 +224,16 @@ where
 }
 
 impl<S: SignedRow> UniversalQueries for UnivMon<S> {
-    /// `H = log2(N) − (1/N)·Σ_x f_x·log2(f_x)`.
-    fn entropy(&self) -> f64 {
+    /// `H = log2(N) − (1/N)·Σ_x f_x·log2(f_x)`: `Some(0.0)` for an empty
+    /// stream, `None` when the estimate is negative (or not a number),
+    /// which no true entropy can be.
+    fn entropy(&self) -> Option<f64> {
         if self.total == 0 {
-            return 0.0;
+            return Some(0.0);
         }
         let n = self.total as f64;
         let flogf = self.g_sum(|f| f * f.log2());
-        (n.log2() - flogf / n).max(0.0)
+        Some(n.log2() - flogf / n).filter(|entropy| *entropy >= 0.0)
     }
 
     fn fp_moment(&self, p: f64) -> f64 {
@@ -361,7 +363,7 @@ mod tests {
         for &item in &stream {
             um.update(item, 1);
         }
-        let est = um.entropy();
+        let est = um.entropy().expect("a non-negative estimate");
         let truth = exact_entropy(&counts);
         let rel = (est - truth).abs() / truth;
         assert!(
@@ -446,10 +448,10 @@ mod tests {
         merged.merge_from(&part_c);
         assert_eq!(merged.total(), single.total());
         let truth = exact_entropy(&counts);
-        let est = merged.entropy();
+        let est = merged.entropy().expect("a non-negative estimate");
         let rel = (est - truth).abs() / truth;
         assert!(rel < 0.15, "merged entropy {est} vs exact {truth} ({rel})");
-        let single_est = single.entropy();
+        let single_est = single.entropy().expect("a non-negative estimate");
         let drift = (est - single_est).abs() / single_est;
         assert!(
             drift < 0.1,

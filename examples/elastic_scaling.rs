@@ -53,7 +53,7 @@ fn main() {
             let mut served = 0u32;
             let mut last_epoch = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Acquire) {
-                let Some(view) = handle.snapshot() else { break };
+                let Ok(view) = handle.snapshot() else { break };
                 assert!(view.epoch() >= last_epoch, "epochs must be monotone");
                 last_epoch = view.epoch();
                 served += 1;
@@ -94,7 +94,9 @@ fn main() {
 
     stop.store(true, std::sync::atomic::Ordering::Release);
     let final_epoch = pipeline.drain();
-    let final_view = pipeline.snapshot();
+    let final_view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
     assert_eq!(final_view.epoch(), final_epoch);
     let out = pipeline.finish();
     let served = querier.join().expect("query thread panicked");

@@ -46,8 +46,8 @@ fn main() {
     let querier = std::thread::spawn(move || {
         let mut served = 0u32;
         // A live snapshot: consistent per-shard prefixes, merged into one
-        // queryable view. `None` means the pipeline has finished.
-        while let Some(view) = handle.snapshot() {
+        // queryable view. An error means the pipeline has finished.
+        while let Ok(view) = handle.snapshot() {
             let top = view.top_k(3, candidates.iter().copied());
             println!(
                 "epoch {:>7}: top-3 {:?}  (assembled in {:?}, {} behind live)",
@@ -67,7 +67,9 @@ fn main() {
         pipeline.extend(chunk);
     }
     let final_epoch = pipeline.drain();
-    let final_view = pipeline.snapshot();
+    let final_view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
     let out = pipeline.finish();
     let served = querier.join().expect("query thread panicked");
 

@@ -5,15 +5,14 @@
 //! cargo run --release -p salsa-examples --example sharded_pipeline
 //! ```
 //!
-//! The demo streams a skewed (Zipf) trace through a 4-shard pipeline twice —
-//! once hash-partitioned (each key owned by one shard) and once round-robin
-//! ("replicated": every shard sees an arbitrary slice) — and shows that with
+//! The demo streams a skewed (Zipf) trace through a 4-shard pipeline, which
+//! routes each key to the one shard that owns it, and shows that with
 //! sum-merge rows the merged view is *identical* to a single sketch built
-//! unsharded, while each shard only had to absorb a quarter of the load.
+//! unsharded, while each shard only had to absorb part of the load.
 
 use salsa_examples::human_bytes;
 use salsa_metrics::mops_for;
-use salsa_pipeline::{run_sharded, Partition, PipelineConfig};
+use salsa_pipeline::{run_sharded, PipelineConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -39,29 +38,25 @@ fn main() {
         human_bytes(single.size_bytes())
     );
 
-    for partition in [Partition::ByKey, Partition::RoundRobin] {
-        let config = PipelineConfig::new(4).partition(partition);
-        let out = run_sharded(&config, make, &items);
-
-        let diff = (0..universe as u64)
-            .map(|item| out.merged.estimate(item).abs_diff(single.estimate(item)))
-            .max()
-            .unwrap_or(0);
-        println!("\npartition mode: {}", partition.name());
-        for (shard, stats) in out.shards.iter().enumerate() {
-            println!(
-                "  shard {shard}: {:>7} items in {:>4} batches ({:.1} Mops busy)",
-                stats.items,
-                stats.batches,
-                mops_for(stats.items, stats.busy_secs)
-            );
-        }
+    let out = run_sharded(&PipelineConfig::new(4), make, &items);
+    let diff = (0..universe as u64)
+        .map(|item| out.merged.estimate(item).abs_diff(single.estimate(item)))
+        .max()
+        .unwrap_or(0);
+    println!();
+    for (shard, stats) in out.shards.iter().enumerate() {
         println!(
-            "  critical path {:.1} Mops vs single-thread {:.1} Mops equivalent",
-            mops_for(out.items, out.critical_path_secs()),
-            mops_for(out.items, out.total_busy_secs())
+            "  shard {shard}: {:>7} items in {:>4} batches ({:.1} Mops busy)",
+            stats.items,
+            stats.batches,
+            mops_for(stats.items, stats.busy_secs)
         );
-        println!("  max |merged − unsharded| over all keys: {diff} (sum-merge is lossless)");
-        assert_eq!(diff, 0);
     }
+    println!(
+        "  critical path {:.1} Mops vs single-thread {:.1} Mops equivalent",
+        mops_for(out.items, out.critical_path_secs()),
+        mops_for(out.items, out.total_busy_secs())
+    );
+    println!("  max |merged − unsharded| over all keys: {diff} (sum-merge is lossless)");
+    assert_eq!(diff, 0);
 }

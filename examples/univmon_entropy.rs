@@ -30,12 +30,16 @@ fn main() {
     );
     println!();
 
-    let entropy_est = univmon.entropy();
     let entropy_true = truth.entropy();
-    println!(
-        "entropy:        estimated {entropy_est:.4} bits, exact {entropy_true:.4} bits (error {})",
-        percent(relative_error(entropy_est, entropy_true))
-    );
+    // `None` means the G-sum estimate failed (came out negative): the
+    // sketch is too small for this stream.
+    match univmon.entropy() {
+        Some(entropy_est) => println!(
+            "entropy:        estimated {entropy_est:.4} bits, exact {entropy_true:.4} bits (error {})",
+            percent(relative_error(entropy_est, entropy_true))
+        ),
+        None => println!("entropy:        estimate failed, exact {entropy_true:.4} bits"),
+    }
 
     for p in [0.5, 1.0, 1.5, 2.0] {
         let est = univmon.fp_moment(p);

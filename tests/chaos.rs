@@ -7,15 +7,16 @@
 //! poisoned pipeline — with coverage metadata that names the gap exactly;
 //! under a restart policy the dead shard must come back and routing
 //! capacity recover; and a swallowed drain acknowledgement must surface as
-//! a typed timeout, not a hang.
+//! a typed timeout, not a hang.  Routing is by key, so each scenario places
+//! its faults with the pipeline's own `shard_of`.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use salsa_core::prelude::*;
 use salsa_pipeline::{
-    silence_worker_panics, FaultPlan, Partition, PipelineConfig, PipelineError, Recovery,
-    ShardState, ShardedPipeline, SupervisorConfig, Tracked,
+    silence_worker_panics, FaultPlan, PipelineConfig, PipelineError, Recovery, ShardState,
+    ShardedPipeline, SnapshotSummary, Tracked,
 };
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -37,6 +38,18 @@ fn make_cms() -> impl Fn(usize) -> CountMin<SimpleSalsaRow> + Copy + Send + 'sta
     |_| CountMin::salsa(4, 2048, 8, MergeOp::Sum, 19)
 }
 
+/// The first `n` keys `pipeline` routes to `shard`, in key order.
+fn keys_of(
+    pipeline: &ShardedPipeline<'_, impl SnapshotSummary>,
+    shard: usize,
+    n: usize,
+) -> Vec<u64> {
+    (0u64..)
+        .filter(|&key| pipeline.shard_of(key) == shard)
+        .take(n)
+        .collect()
+}
+
 /// The headline scenario: four shards, one dies to an injected panic at a
 /// scripted point, and the pipeline keeps answering point and top-k
 /// queries from the survivors with correct coverage accounting.
@@ -45,10 +58,11 @@ fn one_dead_shard_of_four_keeps_serving_queries() {
     silence_worker_panics();
     let items = trace();
     let plan = Arc::new(FaultPlan::new().panic_shard(2, 4_000));
-    let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-    let counters = Arc::clone(&supervisor.counters);
-    let config = PipelineConfig::new(4).batch_size(256);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+    let config = PipelineConfig::new(4)
+        .batch_size(256)
+        .chaos(Arc::clone(&plan));
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
+    let counters = Arc::clone(pipeline.counters());
 
     // Ground truth before the stream flows: by-key routing is pure.
     let routed_to_dead = items
@@ -65,7 +79,7 @@ fn one_dead_shard_of_four_keeps_serving_queries() {
 
     // Point and top-k queries keep working, served by the survivors.
     let view = pipeline
-        .try_snapshot()
+        .snapshot()
         .expect("three survivors serve a degraded view");
     assert!(view.is_degraded());
     assert_eq!(view.shards_failed(), 1);
@@ -92,7 +106,7 @@ fn one_dead_shard_of_four_keeps_serving_queries() {
 
     // Ingestion continues after the death — still no process panic.
     pipeline.extend(&items[..1_000]);
-    let out = pipeline.try_finish().expect("survivors still merge");
+    let out = pipeline.finish();
     assert_eq!(out.failed_shards, vec![2]);
     assert!(out.is_degraded());
     assert!(out.lost_items >= routed_to_dead);
@@ -106,10 +120,12 @@ fn restart_policy_brings_the_shard_back() {
     silence_worker_panics();
     let items = trace();
     let plan = Arc::new(FaultPlan::new().panic_shard(1, 2_000));
-    let supervisor = SupervisorConfig::new().restart(3).chaos(Arc::clone(&plan));
-    let counters = Arc::clone(&supervisor.counters);
-    let config = PipelineConfig::new(4).batch_size(256);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+    let config = PipelineConfig::new(4)
+        .batch_size(256)
+        .recovery(Recovery::Restart { max_restarts: 3 })
+        .chaos(Arc::clone(&plan));
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
+    let counters = Arc::clone(pipeline.counters());
 
     pipeline.extend(&items);
     pipeline.try_drain().expect("drain restarts the dead shard");
@@ -122,13 +138,13 @@ fn restart_policy_brings_the_shard_back() {
     pipeline.extend(&items);
     let epoch = pipeline.try_drain().expect("second drain is healthy");
     assert_eq!(epoch, 2 * UPDATES as u64);
-    let view = pipeline.try_snapshot().expect("the pipeline serves views");
+    let view = pipeline.snapshot().expect("the pipeline serves views");
     assert_eq!(view.shards_failed(), 0, "every worker replies");
     assert!(
         view.coverage().uncovered_items > 0,
         "the dead incarnation's items stay uncovered"
     );
-    let out = pipeline.try_finish().expect("all four shards report");
+    let out = pipeline.finish();
     assert!(out.failed_shards.is_empty());
     assert!(out.lost_items > 0);
 }
@@ -141,18 +157,21 @@ fn restart_policy_brings_the_shard_back() {
 fn restart_policy_recovers_a_shard_after_a_rescale() {
     silence_worker_panics();
     let plan = Arc::new(FaultPlan::new().panic_shard(2, 128));
-    let supervisor = SupervisorConfig::new().restart(1).chaos(Arc::clone(&plan));
-    let counters = Arc::clone(&supervisor.counters);
     let config = PipelineConfig::new(1)
-        .partition(Partition::RoundRobin)
-        .batch_size(64);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+        .batch_size(64)
+        .recovery(Recovery::Restart { max_restarts: 1 })
+        .chaos(Arc::clone(&plan));
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
+    let counters = Arc::clone(pipeline.counters());
     let handle = pipeline.live_handle();
     pipeline.extend(&(0..256).collect::<Vec<u64>>());
     pipeline.rescale(3).expect("1 -> 3 is a real rescale");
-    // Round-robin over three shards: 192 items each, three 64-item batches.
+    // 192 keys of each of the three shards: three 64-item batches each.
     // Shard 2 applies two, then panics on the third.
-    pipeline.extend(&(0..576).collect::<Vec<u64>>());
+    let keys: Vec<Vec<u64>> = (0..3).map(|shard| keys_of(&pipeline, shard, 256)).collect();
+    for shard_keys in &keys {
+        pipeline.extend(&shard_keys[..192]);
+    }
     pipeline.try_drain().expect("drain restarts the dead shard");
     assert_eq!(plan.fired(), 1);
     assert!(pipeline.health().all_up(), "shard 2 is back");
@@ -164,17 +183,17 @@ fn restart_policy_recovers_a_shard_after_a_rescale() {
         "128 applied-then-lost + 64 in flight"
     );
 
-    // The restarted shard ingests again.
-    pipeline.extend(&(0..192).collect::<Vec<u64>>());
+    // The restarted shard ingests again: one more batch per shard.
+    for shard_keys in &keys {
+        pipeline.extend(&shard_keys[192..]);
+    }
     pipeline.drain();
-    let view = handle
-        .try_snapshot()
-        .expect("the pre-rescale handle serves");
+    let view = handle.snapshot().expect("the pre-rescale handle serves");
     assert_eq!(view.generation(), 1);
     assert_eq!(view.shards_ok(), 3, "every worker replies");
     assert_eq!(view.coverage().uncovered_items, 128, "the loss is named");
     assert_eq!(view.epoch(), 256 + 3 * 256 - 64, "every acknowledged item");
-    let out = pipeline.try_finish().expect("all three shards report");
+    let out = pipeline.finish();
     assert!(out.failed_shards.is_empty());
     assert_eq!(out.lost_items, 192);
     assert_eq!(out.rescales(), 1);
@@ -187,13 +206,11 @@ fn restart_policy_recovers_a_shard_after_a_rescale() {
 fn swallowed_drain_ack_times_out_with_a_typed_error() {
     silence_worker_panics();
     let plan = Arc::new(FaultPlan::new().drop_ack(0, 0));
-    let supervisor = SupervisorConfig::new()
-        .drain_timeout(Duration::from_millis(150))
-        .chaos(plan);
     let config = PipelineConfig::new(2)
-        .partition(Partition::RoundRobin)
-        .batch_size(16);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+        .batch_size(16)
+        .reply_timeout(Duration::from_millis(150))
+        .chaos(plan);
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
     pipeline.extend(&(0..64).collect::<Vec<u64>>());
     let started = std::time::Instant::now();
     assert_eq!(
@@ -220,22 +237,21 @@ fn tracked_top_k_survives_a_dead_shard() {
     silence_worker_panics();
     let items = trace();
     let plan = Arc::new(FaultPlan::new().panic_shard(0, 1_000));
-    let supervisor = SupervisorConfig::new()
+    let config = PipelineConfig::new(4)
+        .batch_size(256)
         .recovery(Recovery::Degrade)
         .chaos(Arc::clone(&plan));
-    let config = PipelineConfig::new(4).batch_size(256);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, move |shard| {
-        Tracked::new(make_cms()(shard), 16)
-    });
+    let mut pipeline =
+        ShardedPipeline::new(&config, move |shard| Tracked::new(make_cms()(shard), 16));
     pipeline.extend(&items);
     pipeline.try_drain().expect("drain degrades");
     assert_eq!(plan.fired(), 1);
-    let view = pipeline.try_snapshot().expect("degraded view serves");
+    let view = pipeline.snapshot().expect("degraded view serves");
     assert!(view.is_degraded());
     let tracked = view.top_k_tracked();
     assert!(
         !tracked.is_empty(),
         "the survivors' tracked heavy hitters merge and serve"
     );
-    pipeline.try_finish().expect("survivors merge");
+    assert_eq!(pipeline.finish().failed_shards, vec![0], "survivors merge");
 }

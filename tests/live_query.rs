@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use salsa_core::prelude::*;
 use salsa_integration_tests::view_cache;
-use salsa_pipeline::{LiveHandle, Partition, PipelineConfig, ShardedPipeline, SnapshotSummary};
+use salsa_pipeline::{LiveHandle, PipelineConfig, PipelineError, ShardedPipeline, SnapshotSummary};
 use salsa_serve::CachePolicy;
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -46,31 +46,29 @@ fn unsharded(items: &[u64]) -> CountMin<SimpleSalsaRow> {
 #[test]
 fn snapshot_at_epoch_e_equals_unsharded_prefix_sketch() {
     let items = trace();
-    for partition in [Partition::ByKey, Partition::RoundRobin] {
-        let config = PipelineConfig::new(4).partition(partition);
-        let mut pipeline = ShardedPipeline::new(&config, make_cms());
-        let mut fed = 0usize;
-        for cut in [7_001, 23_456, 44_000, UPDATES] {
-            pipeline.extend(&items[fed..cut]);
-            fed = cut;
-            let view = pipeline.snapshot();
-            assert_eq!(view.epoch(), fed as u64, "{}", partition.name());
-            let prefix = unsharded(&items[..fed]);
-            for item in 0..UNIVERSE as u64 {
-                assert_eq!(
-                    view.estimate(item),
-                    prefix.estimate(item) as i64,
-                    "{} epoch {fed} item {item}",
-                    partition.name()
-                );
-            }
-        }
-        // Snapshots are side-effect free: the final output still matches.
-        let out = pipeline.finish();
-        let single = unsharded(&items);
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(4), make_cms());
+    let mut fed = 0usize;
+    for cut in [7_001, 23_456, 44_000, UPDATES] {
+        pipeline.extend(&items[fed..cut]);
+        fed = cut;
+        let view = pipeline
+            .snapshot()
+            .expect("a healthy pipeline serves views");
+        assert_eq!(view.epoch(), fed as u64);
+        let prefix = unsharded(&items[..fed]);
         for item in 0..UNIVERSE as u64 {
-            assert_eq!(out.merged.estimate(item), single.estimate(item));
+            assert_eq!(
+                view.estimate(item),
+                prefix.estimate(item) as i64,
+                "epoch {fed} item {item}"
+            );
         }
+    }
+    // Snapshots are side-effect free: the final output still matches.
+    let out = pipeline.finish();
+    let single = unsharded(&items);
+    for item in 0..UNIVERSE as u64 {
+        assert_eq!(out.merged.estimate(item), single.estimate(item));
     }
 }
 
@@ -87,7 +85,7 @@ fn concurrent_snapshots_have_monotone_epochs_and_consistent_bounds() {
         let mut probes_ok = true;
         // The `while let` ends if the pipeline finishes mid-snapshot (the
         // handle goes dark), though this test drains before joining.
-        while let Some(view) = handle.snapshot() {
+        while let Ok(view) = handle.snapshot() {
             epochs.push(view.epoch());
             // Sum-merge estimates only grow with the epoch, so any live view
             // is bounded by the full-stream sketch.
@@ -140,7 +138,9 @@ fn snapshot_top_k_finds_the_heavy_hitters() {
     let mut pipeline =
         ShardedPipeline::new(&config, |_| CountMin::salsa(4, 4096, 8, MergeOp::Sum, 23));
     pipeline.extend(&items);
-    let view = pipeline.snapshot();
+    let view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
     let top = view.top_k(5, 0..100);
     assert_eq!(top.len(), 5);
     for heavy in 95..100u64 {
@@ -156,9 +156,13 @@ fn handles_go_dark_after_finish() {
     let mut pipeline = ShardedPipeline::new(&config, make_cms());
     pipeline.extend(&trace()[..10_000]);
     let handle: LiveHandle<_> = pipeline.live_handle();
-    assert!(handle.snapshot().is_some());
+    assert!(handle.snapshot().is_ok());
     pipeline.finish();
-    assert!(handle.snapshot().is_none(), "snapshot after finish");
+    assert_eq!(
+        handle.snapshot().err(),
+        Some(PipelineError::Finished),
+        "snapshot after finish"
+    );
 }
 
 #[test]
@@ -213,16 +217,18 @@ fn snapshot_views_report_serving_metadata() {
     let config = PipelineConfig::new(2);
     let mut pipeline = ShardedPipeline::new(&config, make_cms());
     pipeline.extend(&items[..30_000]);
-    let view = pipeline.snapshot();
-    assert_eq!(view.shards().len(), 2);
-    assert_eq!(
-        view.shards().iter().map(|s| s.items).sum::<u64>(),
-        view.epoch()
-    );
-    assert!(view.shards().iter().all(|s| s.snapshots >= 1));
+    let view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
+    assert_eq!(view.shards_ok(), 2);
+    assert_eq!(view.shards_failed(), 0);
+    assert_eq!(view.epoch(), 30_000);
     assert!(view.assembly_time() <= view.staleness());
     // Clone-cost accounting: a snapshot copies at least the counter
     // storage of every shard's sketch.
     assert!(SnapshotSummary::clone_cost_bytes(view.merged()) >= view.merged().size_bytes());
-    pipeline.finish();
+    // Every shard copied its sketch once for the view.
+    let out = pipeline.finish();
+    assert_eq!(out.shards.len(), 2);
+    assert!(out.shards.iter().all(|s| s.snapshots == 1));
 }

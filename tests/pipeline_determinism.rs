@@ -10,7 +10,7 @@
 //! encodings) CMS.
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{run_sharded, FrequencyQueries, Partition, PipelineConfig, SnapshotSummary};
+use salsa_pipeline::{run_sharded, FrequencyQueries, PipelineConfig, SnapshotSummary};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -36,15 +36,14 @@ fn unsharded<S: SnapshotSummary>(mut sketch: S, items: &[u64]) -> S {
     sketch
 }
 
-fn assert_identical<S, F>(make: F, items: &[u64], partition: Partition, label: &str)
+fn assert_identical<S, F>(make: F, items: &[u64], label: &str)
 where
     S: SnapshotSummary + FrequencyQueries,
     F: Fn(usize) -> S + Copy + Send,
 {
     let single = unsharded(make(0), items);
     for shards in [2usize, 4, 5] {
-        let config = PipelineConfig::new(shards).partition(partition);
-        let out = run_sharded(&config, make, items);
+        let out = run_sharded(&PipelineConfig::new(shards), make, items);
         assert_eq!(out.items, items.len() as u64);
         for item in 0..UNIVERSE as u64 {
             assert_eq!(
@@ -63,7 +62,6 @@ fn hash_partitioned_salsa_cms_matches_unsharded_exactly() {
     assert_identical(
         |_| CountMin::salsa(4, 4096, 8, MergeOp::Sum, 42),
         &items,
-        Partition::ByKey,
         "SALSA CMS (simple encoding)",
     );
 }
@@ -74,7 +72,6 @@ fn hash_partitioned_compact_salsa_cms_matches_unsharded_exactly() {
     assert_identical(
         |_| CountMin::salsa_compact(4, 4096, 8, MergeOp::Sum, 42),
         &items,
-        Partition::ByKey,
         "SALSA CMS (compact encoding)",
     );
 }
@@ -85,20 +82,6 @@ fn hash_partitioned_baseline_cms_matches_unsharded_exactly() {
     assert_identical(
         |_| CountMin::baseline(4, 4096, 32, 42),
         &items,
-        Partition::ByKey,
         "Baseline CMS",
-    );
-}
-
-#[test]
-fn round_robin_salsa_cms_matches_unsharded_exactly() {
-    // Sum-merging is lossless for *any* split of the stream, so even the
-    // replicated (round-robin) mode reproduces the unsharded sketch.
-    let items = trace();
-    assert_identical(
-        |_| CountMin::salsa(4, 4096, 8, MergeOp::Sum, 42),
-        &items,
-        Partition::RoundRobin,
-        "SALSA CMS (round-robin)",
     );
 }

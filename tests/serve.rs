@@ -14,9 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{
-    silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline, SupervisorConfig,
-};
+use salsa_pipeline::{silence_worker_panics, FaultPlan, PipelineConfig, ShardedPipeline};
 use salsa_serve::{serve, AdmissionConfig, ClientError, ErrorCode, QueryClient, ServeConfig};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
@@ -49,9 +47,10 @@ fn serves_across_rescale_and_shard_death_with_monotone_epochs() {
     // Shard 1 only exists in generation 1 (the pipeline starts with one
     // shard), so the panic is guaranteed to land after the rescale.
     let plan = Arc::new(FaultPlan::new().panic_shard(1, 2_000));
-    let supervisor = SupervisorConfig::new().chaos(Arc::clone(&plan));
-    let config = PipelineConfig::new(1).batch_size(256);
-    let mut pipeline = ShardedPipeline::supervised(&config, supervisor, make_cms());
+    let config = PipelineConfig::new(1)
+        .batch_size(256)
+        .chaos(Arc::clone(&plan));
+    let mut pipeline = ShardedPipeline::new(&config, make_cms());
     let server = serve(
         "127.0.0.1:0",
         pipeline.live_handle(),

@@ -21,9 +21,7 @@
 use std::collections::HashMap;
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{
-    run_sharded, Partition, PipelineConfig, ShardedPipeline, StreamSummary, Tracked,
-};
+use salsa_pipeline::{run_sharded, PipelineConfig, ShardedPipeline, StreamSummary, Tracked};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -73,52 +71,48 @@ fn sharded_univmon_matches_unsharded_statistics() {
     let mut single = make_univmon(21)(0);
     single.ingest(&items);
 
-    for partition in [Partition::ByKey, Partition::RoundRobin] {
-        for shards in [2usize, 4] {
-            let config = PipelineConfig::new(shards).partition(partition);
-            let out = run_sharded(&config, make_univmon(21), &items);
-            assert_eq!(out.items, items.len() as u64);
-            let merged = &out.merged;
-            let label = format!("{} x{shards}", partition.name());
+    let single_entropy = single.entropy().expect("a non-negative estimate");
+    for shards in [2usize, 4] {
+        let out = run_sharded(&PipelineConfig::new(shards), make_univmon(21), &items);
+        assert_eq!(out.items, items.len() as u64);
+        let merged = &out.merged;
+        let entropy = merged.entropy().expect("a non-negative estimate");
+        let label = format!("x{shards}");
 
-            // Merged estimates track the unsharded sketch: the level
-            // sketches merge exactly, only heap membership can drift.
-            assert!(
-                rel_err(merged.entropy(), single.entropy()) < 0.15,
-                "{label}: entropy {} vs unsharded {}",
-                merged.entropy(),
-                single.entropy()
-            );
-            assert!(
-                rel_err(merged.fp_moment(2.0), single.fp_moment(2.0)) < 0.25,
-                "{label}: F2 {} vs unsharded {}",
-                merged.fp_moment(2.0),
-                single.fp_moment(2.0)
-            );
-            assert!(
-                rel_err(merged.distinct(), single.distinct()) < 0.35,
-                "{label}: distinct {} vs unsharded {}",
-                merged.distinct(),
-                single.distinct()
-            );
+        // Merged estimates track the unsharded sketch: the level sketches
+        // merge exactly, only heap membership can drift.
+        assert!(
+            rel_err(entropy, single_entropy) < 0.15,
+            "{label}: entropy {entropy} vs unsharded {single_entropy}"
+        );
+        assert!(
+            rel_err(merged.fp_moment(2.0), single.fp_moment(2.0)) < 0.25,
+            "{label}: F2 {} vs unsharded {}",
+            merged.fp_moment(2.0),
+            single.fp_moment(2.0)
+        );
+        assert!(
+            rel_err(merged.distinct(), single.distinct()) < 0.35,
+            "{label}: distinct {} vs unsharded {}",
+            merged.distinct(),
+            single.distinct()
+        );
 
-            // And both stay anchored to the ground truth.
-            assert!(
-                rel_err(merged.entropy(), true_entropy) < 0.2,
-                "{label}: entropy {} vs truth {true_entropy}",
-                merged.entropy()
-            );
-            assert!(
-                rel_err(merged.fp_moment(2.0), true_f2) < 0.35,
-                "{label}: F2 {} vs truth {true_f2}",
-                merged.fp_moment(2.0)
-            );
-            assert!(
-                rel_err(merged.distinct(), true_distinct) < 0.45,
-                "{label}: distinct {} vs truth {true_distinct}",
-                merged.distinct()
-            );
-        }
+        // And both stay anchored to the ground truth.
+        assert!(
+            rel_err(entropy, true_entropy) < 0.2,
+            "{label}: entropy {entropy} vs truth {true_entropy}"
+        );
+        assert!(
+            rel_err(merged.fp_moment(2.0), true_f2) < 0.35,
+            "{label}: F2 {} vs truth {true_f2}",
+            merged.fp_moment(2.0)
+        );
+        assert!(
+            rel_err(merged.distinct(), true_distinct) < 0.45,
+            "{label}: distinct {} vs truth {true_distinct}",
+            merged.distinct()
+        );
     }
 }
 
@@ -130,13 +124,15 @@ fn sharded_univmon_serves_entropy_from_live_snapshot() {
 
     let cut = items.len() / 2;
     pipeline.extend(&items[..cut]);
-    let view = pipeline.snapshot();
+    let view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
     assert_eq!(view.epoch(), cut as u64);
     let (prefix_entropy, _, prefix_distinct) = exact_stats(&items[..cut]);
+    let live_entropy = view.entropy().expect("a non-negative estimate");
     assert!(
-        rel_err(view.entropy(), prefix_entropy) < 0.2,
-        "live entropy {} vs prefix truth {prefix_entropy}",
-        view.entropy()
+        rel_err(live_entropy, prefix_entropy) < 0.2,
+        "live entropy {live_entropy} vs prefix truth {prefix_entropy}"
     );
     assert!(
         rel_err(view.distinct(), prefix_distinct) < 0.45,
@@ -150,10 +146,10 @@ fn sharded_univmon_serves_entropy_from_live_snapshot() {
     pipeline.extend(&items[cut..]);
     let out = pipeline.finish();
     let (true_entropy, _, _) = exact_stats(&items);
+    let final_entropy = out.merged.entropy().expect("a non-negative estimate");
     assert!(
-        rel_err(out.merged.entropy(), true_entropy) < 0.2,
-        "final entropy {} vs truth {true_entropy}",
-        out.merged.entropy()
+        rel_err(final_entropy, true_entropy) < 0.2,
+        "final entropy {final_entropy} vs truth {true_entropy}"
     );
 }
 
@@ -172,20 +168,12 @@ fn sharded_distinct_counter_is_exact_under_sum_merge() {
         "sketch must not saturate on this trace"
     );
 
-    for partition in [Partition::ByKey, Partition::RoundRobin] {
-        for shards in [2usize, 3, 5] {
-            let config = PipelineConfig::new(shards).partition(partition);
-            let out = run_sharded(&config, make_distinct(17), &items);
-            // Sum-merge makes the merged counter array byte-identical to the
-            // unsharded one, so Linear Counting sees the same zero pattern
-            // and the estimate matches *exactly* — not within tolerance.
-            assert_eq!(
-                out.merged.estimate_distinct(),
-                reference,
-                "{} x{shards}",
-                partition.name()
-            );
-        }
+    for shards in [2usize, 3, 5] {
+        let out = run_sharded(&PipelineConfig::new(shards), make_distinct(17), &items);
+        // Sum-merge makes the merged counter array byte-identical to the
+        // unsharded one, so Linear Counting sees the same zero pattern and
+        // the estimate matches *exactly* — not within tolerance.
+        assert_eq!(out.merged.estimate_distinct(), reference, "x{shards}");
     }
 
     // Sanity: the (exact-under-merge) estimate is also a good estimate.
@@ -242,7 +230,9 @@ fn tracked_top_k_survives_sharding() {
     let config = PipelineConfig::new(3).batch_size(64);
     let mut pipeline = ShardedPipeline::new(&config, make);
     pipeline.extend(&items);
-    let view = pipeline.snapshot();
+    let view = pipeline
+        .snapshot()
+        .expect("a healthy pipeline serves views");
 
     let tracked = view.top_k_tracked();
     assert_eq!(tracked.len(), 8);
